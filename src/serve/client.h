@@ -2,8 +2,8 @@
 //
 // One TCP connection, one tenant. The synchronous calls (Probe/Scan/
 // Advance/Stats/Health) are what wavectl uses; the split Send*/ReadReply
-// half is for pipelining — waveload keeps a window of requests in flight
-// per connection and matches replies by request id.
+// half is for pipelining — perfbench's perfload keeps a window of requests
+// in flight per connection and matches replies by request id.
 
 #ifndef WAVEKIT_SERVE_CLIENT_H_
 #define WAVEKIT_SERVE_CLIENT_H_

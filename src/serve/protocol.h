@@ -15,7 +15,7 @@
 //
 // Request payloads (client -> server):
 //   PROBE   := lo:i32 hi:i32 value_len:u32 value:bytes
-//   SCAN    := lo:i32 hi:i32 max_entries:u32        (0 = no cap)
+//   SCAN    := lo:i32 hi:i32 max_entries:u32   (0 = all that fit one reply)
 //   ADVANCE := day:i32 record_count:u32 record*
 //     record := record_id:u64 num_values:u16 (value_len:u32 value:bytes aux:u32)*
 //   STATS   := (empty)
@@ -63,6 +63,12 @@ inline constexpr size_t kFrameHeaderBytes = 12;
 /// buffering a single payload byte, so a hostile length field cannot drive
 /// allocation.
 inline constexpr uint32_t kMaxPayloadBytes = 4u << 20;
+/// The most entries one PROBE/SCAN reply can carry within kMaxPayloadBytes:
+/// room is kept for the largest result prefix (code:u8, detail_len:u16 and a
+/// detail the encoder clamps to 0xFFFF bytes), the stats (28 bytes) and
+/// entry_count:u32, at 16 bytes per entry.
+inline constexpr uint32_t kMaxReplyEntries =
+    (kMaxPayloadBytes - (3 + 0xFFFF) - 28 - 4) / 16;
 
 enum class FrameType : uint8_t {
   kProbe = 1,
@@ -106,9 +112,9 @@ struct ProbeRequest {
 
 struct ScanRequest {
   DayRange range;
-  /// Entries after which the server truncates the reply (with kPartialResult
-  /// semantics left to the caller — the count is a transport guard, not a
-  /// query semantic). 0 means no cap.
+  /// Entries after which the server truncates the reply with kPartialResult
+  /// (a transport guard, not a query semantic). 0 asks for as many as fit in
+  /// one reply frame; the server never sends more than kMaxReplyEntries.
   uint32_t max_entries = 0;
 };
 

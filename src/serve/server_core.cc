@@ -1,5 +1,6 @@
 #include "serve/server_core.h"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -217,17 +218,16 @@ void ServerCore::ServeScan(Tenant* tenant, const Frame& frame,
                 status.message(), out);
     return;
   }
-  uint32_t cap = request.max_entries;
-  if (options_.scan_entry_cap > 0 &&
-      (cap == 0 || cap > options_.scan_entry_cap)) {
-    cap = options_.scan_entry_cap;
-  }
+  // The reply must fit one frame, whatever the request asks for.
+  const uint32_t cap = request.max_entries == 0
+                           ? kMaxReplyEntries
+                           : std::min(request.max_entries, kMaxReplyEntries);
   QueryReply reply;
   bool truncated = false;
   status = tenant->service->TimedSegmentScan(
       request.range,
       [&](const Value&, const Entry& entry) {
-        if (cap > 0 && reply.entries.size() >= cap) {
+        if (reply.entries.size() >= cap) {
           truncated = true;
           return;
         }

@@ -48,11 +48,6 @@ class ServerCore {
     /// kResourceExhausted beyond this. 0 = unlimited.
     size_t max_sessions = 0;
 
-    /// Hard ceiling on SCAN replies regardless of the request's max_entries
-    /// (a transport guard so one scan cannot materialize a multi-GiB reply).
-    /// 0 = unlimited.
-    uint32_t scan_entry_cap = 1u << 20;
-
     /// When true, ADVANCE requests queue through AdvanceDayAsync and reply
     /// immediately with the still-current day; STATS exposes the pending
     /// count. When false, ADVANCE applies synchronously before replying.

@@ -1,7 +1,7 @@
 // ShardedCachedDevice: a thread-safe, lock-striped LRU block cache.
 //
-// The single-threaded CachedDevice funnels every probe through one LRU; under
-// parallel query fan-out (wave/wave_service.h, ParallelTimedIndexProbe) that
+// The single-threaded CachedDevice funnels every probe through one LRU; with
+// many reader threads probing one WaveService (wave/wave_service.h) that
 // would re-serialize exactly the I/O the paper says needs no concurrency
 // control. Here the block space is striped over N independent shards keyed by
 // block_id % N — each with its own mutex, LRU list, and stats — so concurrent

@@ -22,8 +22,8 @@ namespace wavekit {
 /// driver all start from a Store.
 ///
 /// The device is the synchronized (thread-safe) metered variant, so stores
-/// can back concurrent serving and parallel query fan-out out of the box; an
-/// uncontended mutex costs nothing measurable next to the simulated I/O.
+/// can back concurrent serving out of the box; an uncontended mutex costs
+/// nothing measurable next to the simulated I/O.
 class Store {
  public:
   explicit Store(uint64_t capacity_bytes = uint64_t{16} << 30)

@@ -278,11 +278,6 @@ Status RunEpisodeImpl(const ServerSimConfig& config, uint64_t episode,
     options.config.num_indexes = 2;
     options.config.technique = UpdateTechniqueKind::kSimpleShadow;
     options.clock = &clock;
-    // Serial query path: the parallel fan-out joins a std::latch that only
-    // real pool workers release, so a workerless SimExecutor would deadlock
-    // the probe. Queries stay on the calling thread; only the maintenance
-    // and advance roles run on simulated executors.
-    options.num_query_threads = 1;
     options.pool_factory = [raw, eseed, t](int /*threads*/,
                                            const std::string& role) {
       // The advance runner must stay strict FIFO (width 1) — async publish

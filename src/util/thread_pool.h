@@ -1,9 +1,9 @@
-// ThreadPool: a small fixed-size worker pool for parallel query fan-out.
+// ThreadPool: a small fixed-size worker pool.
 //
-// The paper (Introduction and Section 8): "if multiple disks and computers
-// are available, the queries across indexes can be easily parallelized."
-// WaveIndex::ParallelTimedIndexProbe uses this pool to probe constituents
-// concurrently.
+// WaveService runs its maintenance fan-out (parallel packed builds, CP
+// clones, REINDEX++ ladder rungs) and its async-advance runner on
+// ThreadPools. Queries never use one: each probe and scan runs on the thread
+// that called it.
 
 #ifndef WAVEKIT_UTIL_THREAD_POOL_H_
 #define WAVEKIT_UTIL_THREAD_POOL_H_
@@ -21,8 +21,8 @@ namespace wavekit {
 
 /// \brief Fixed set of worker threads executing submitted tasks FIFO.
 ///
-/// Concurrency contract (relied on by WaveService, which shares one pool
-/// across all query threads):
+/// Concurrency contract (relied on by WaveService's maintenance stages and
+/// its async-advance runner):
 ///  - Submit is safe from any thread at any time before destruction begins,
 ///    INCLUDING from a task running on a worker (reentrant submits) and
 ///    concurrently with Wait.
@@ -57,14 +57,14 @@ class ThreadPool {
 
   /// \brief Scoped join over a subset of a pool's tasks.
   ///
-  /// ThreadPool::Wait drains the WHOLE pool — on a pool shared with query
-  /// fan-out, a maintenance stage calling it would block on unrelated query
-  /// work. A WaitGroup counts only the tasks submitted through it, so a
-  /// parallel build stage joins exactly its own children:
+  /// ThreadPool::Wait drains the WHOLE pool, so a stage calling it would
+  /// also block on work other stages submitted. A WaitGroup counts only the
+  /// tasks submitted through it, so a parallel build stage joins exactly its
+  /// own children:
   ///
   ///   ThreadPool::WaitGroup group(pool);
   ///   for (auto& part : partitions) group.Submit([&] { Sort(part); });
-  ///   group.Wait();  // only the Sort tasks, not concurrent probes
+  ///   group.Wait();  // only the Sort tasks
   ///
   /// Contract:
   ///  - Submit is safe from any thread, including from a task already running

@@ -1,7 +1,6 @@
 #include "wave/wave_index.h"
 
 #include <algorithm>
-#include <latch>
 
 #include "util/macros.h"
 
@@ -172,115 +171,6 @@ Status WaveIndex::TimedSegmentScan(const DayRange& range,
 Status WaveIndex::SegmentScan(const EntryCallback& callback,
                               QueryStats* stats) const {
   return TimedSegmentScan(DayRange::All(), callback, stats);
-}
-
-namespace {
-
-struct ParallelSlot {
-  bool accessed = false;
-  bool used_fallback = false;
-  Status status;
-  std::vector<std::pair<Value, Entry>> results;
-};
-
-}  // namespace
-
-Status WaveIndex::ParallelTimedIndexProbe(ThreadPool* pool,
-                                          const DayRange& range,
-                                          const Value& value,
-                                          std::vector<Entry>* out,
-                                          QueryStats* stats) const {
-  QueryStats local;
-  std::vector<ParallelSlot> slots(constituents_.size());
-  std::latch remaining(static_cast<ptrdiff_t>(constituents_.size()));
-  for (size_t i = 0; i < constituents_.size(); ++i) {
-    const ConstituentIndex* constituent = constituents_[i].get();
-    ParallelSlot* slot = &slots[i];
-    if (!range.Intersects(constituent->time_set())) {
-      ++local.indexes_skipped;
-      remaining.count_down();
-      continue;
-    }
-    if (!constituent->healthy()) {
-      ++local.indexes_unhealthy;
-      remaining.count_down();
-      continue;
-    }
-    slot->accessed = true;
-    ++local.indexes_accessed;
-    pool->Submit([constituent, slot, &range, &value, &remaining]() {
-      std::vector<Entry> entries;
-      slot->status = ProbeWithFallback(*constituent, value, range, &entries,
-                                       &slot->used_fallback);
-      slot->results.reserve(entries.size());
-      for (const Entry& e : entries) slot->results.emplace_back(Value{}, e);
-      remaining.count_down();
-    });
-  }
-  remaining.wait();
-  for (const ParallelSlot& slot : slots) {
-    if (slot.used_fallback) ++local.probe_fallbacks;
-    if (CountsAsFailed(slot.status)) {
-      ++local.indexes_failed;
-      continue;
-    }
-    WAVEKIT_RETURN_NOT_OK(slot.status);
-    for (const auto& [v, e] : slot.results) {
-      out->push_back(e);
-      ++local.entries_returned;
-    }
-  }
-  if (stats != nullptr) *stats = local;
-  return DegradedStatus(local);
-}
-
-Status WaveIndex::ParallelTimedSegmentScan(ThreadPool* pool,
-                                           const DayRange& range,
-                                           const EntryCallback& callback,
-                                           QueryStats* stats) const {
-  QueryStats local;
-  std::vector<ParallelSlot> slots(constituents_.size());
-  std::latch remaining(static_cast<ptrdiff_t>(constituents_.size()));
-  for (size_t i = 0; i < constituents_.size(); ++i) {
-    const ConstituentIndex* constituent = constituents_[i].get();
-    ParallelSlot* slot = &slots[i];
-    if (!range.Intersects(constituent->time_set())) {
-      ++local.indexes_skipped;
-      remaining.count_down();
-      continue;
-    }
-    if (!constituent->healthy()) {
-      ++local.indexes_unhealthy;
-      remaining.count_down();
-      continue;
-    }
-    slot->accessed = true;
-    ++local.indexes_accessed;
-    pool->Submit([constituent, slot, &range, &remaining]() {
-      slot->status = constituent->TimedScan(
-          range, [slot](const Value& v, const Entry& e) {
-            slot->results.emplace_back(v, e);
-          });
-      remaining.count_down();
-    });
-  }
-  remaining.wait();
-  for (const ParallelSlot& slot : slots) {
-    if (CountsAsFailed(slot.status)) {
-      // Buffered delivery means a failed constituent contributes nothing at
-      // all (unlike the serial scan, which streams) — drop it and report a
-      // partial result.
-      ++local.indexes_failed;
-      continue;
-    }
-    WAVEKIT_RETURN_NOT_OK(slot.status);
-    for (const auto& [v, e] : slot.results) {
-      callback(v, e);
-      ++local.entries_returned;
-    }
-  }
-  if (stats != nullptr) *stats = local;
-  return DegradedStatus(local);
 }
 
 int WaveIndex::TotalDays() const {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "index/constituent_index.h"
-#include "util/thread_pool.h"
 
 namespace wavekit {
 
@@ -96,24 +95,6 @@ class WaveIndex {
   /// SegmentScan: TimedSegmentScan over (-inf, +inf).
   Status SegmentScan(const EntryCallback& callback,
                      QueryStats* stats = nullptr) const;
-
-  /// TimedIndexProbe with the per-constituent probes fanned out over `pool`
-  /// (paper: "the queries across indexes can be easily parallelized").
-  /// Results are merged in constituent order, so the output matches the
-  /// serial TimedIndexProbe exactly.
-  ///
-  /// Requires devices that tolerate concurrent reads: a
-  /// SynchronizedMeteredDevice, or one device per constituent (DiskArray).
-  Status ParallelTimedIndexProbe(ThreadPool* pool, const DayRange& range,
-                                 const Value& value, std::vector<Entry>* out,
-                                 QueryStats* stats = nullptr) const;
-
-  /// TimedSegmentScan fanned out over `pool`; entries are delivered to
-  /// `callback` grouped by constituent (in constituent order), after all
-  /// scans complete. Same device requirements as ParallelTimedIndexProbe.
-  Status ParallelTimedSegmentScan(ThreadPool* pool, const DayRange& range,
-                                  const EntryCallback& callback,
-                                  QueryStats* stats = nullptr) const;
 
   // --- Accounting -----------------------------------------------------------
 

@@ -36,9 +36,6 @@ WaveService::WaveService(Options options, std::unique_ptr<Device> base_device)
         &device_, options_.cache_blocks, options_.cache_block_size,
         options_.cache_shards);
   }
-  if (options_.num_query_threads > 1) {
-    query_pool_ = MakePool(options_.num_query_threads, "query");
-  }
   if (options_.num_maintenance_threads > 1) {
     maintenance_pool_ = MakePool(options_.num_maintenance_threads, "maintenance");
   }
@@ -124,9 +121,6 @@ void WaveService::RegisterMetrics() {
   }
   if (cache_ != nullptr) {
     obs::AttachShardedCache(registry, cache_.get(), "block_cache", this);
-  }
-  if (query_pool_ != nullptr) {
-    obs::AttachThreadPool(registry, query_pool_.get(), "query_pool", this);
   }
   if (maintenance_pool_ != nullptr) {
     obs::AttachThreadPool(registry, maintenance_pool_.get(),
@@ -639,11 +633,7 @@ Status WaveService::TimedIndexProbe(const DayRange& range, const Value& value,
     return Status::FailedPrecondition("service not started");
   }
   const uint64_t start = clock_->NowMicros();
-  Status status =
-      query_pool_ != nullptr
-          ? snapshot->ParallelTimedIndexProbe(query_pool_.get(), range, value,
-                                              out, stats)
-          : snapshot->TimedIndexProbe(range, value, out, stats);
+  Status status = snapshot->TimedIndexProbe(range, value, out, stats);
   if (status.IsPartialResult()) {
     partial_results_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -125,12 +125,11 @@ class WaveService {
     /// service owns the decorator; it must not be null.
     std::function<std::unique_ptr<Device>(Device* inner)> device_interposer;
 
-    /// Determinism seam: when set, every internal pool (query fan-out,
-    /// maintenance fan-out, async advance runner) is created through this
-    /// factory instead of `new ThreadPool(threads)`. The simulation harness
-    /// supplies testing::SimExecutor instances so task interleaving is a
-    /// seeded, reproducible schedule. `role` is one of "query",
-    /// "maintenance", "advance".
+    /// Determinism seam: when set, every internal pool (maintenance
+    /// fan-out, async advance runner) is created through this factory
+    /// instead of `new ThreadPool(threads)`. The simulation harness supplies
+    /// testing::SimExecutor instances so task interleaving is a seeded,
+    /// reproducible schedule. `role` is "maintenance" or "advance".
     std::function<std::unique_ptr<ThreadPool>(int threads,
                                               const std::string& role)>
         pool_factory;
@@ -139,12 +138,6 @@ class WaveService {
     /// to the wall clock; the simulation harness injects a SimClock. Must
     /// outlive the service.
     Clock* clock = nullptr;
-
-    /// When > 1, the service owns a ThreadPool of this many workers and
-    /// TimedIndexProbe / IndexProbe fan the per-constituent probes out over
-    /// it (paper Section 8: "the queries across indexes can be easily
-    /// parallelized"). 0 or 1 keeps probes on the calling thread.
-    int num_query_threads = 1;
 
     /// When > 1, the service owns a maintenance ThreadPool of this many
     /// workers and the scheme's Section 2.2 primitives fan their bulk work
@@ -282,6 +275,8 @@ class WaveService {
   }
 
   // --- Queries (any thread, any time after Start) ---------------------------
+  //
+  // Each query runs on the calling thread, over the snapshot it took.
 
   Status TimedIndexProbe(const DayRange& range, const Value& value,
                          std::vector<Entry>* out,
@@ -313,9 +308,6 @@ class WaveService {
 
   /// The block cache, or nullptr when Options::cache_blocks == 0.
   const ShardedCachedDevice* cache() const { return cache_.get(); }
-
-  /// The probe fan-out pool, or nullptr when num_query_threads <= 1.
-  ThreadPool* query_pool() const { return query_pool_.get(); }
 
   /// The maintenance fan-out pool, or nullptr when
   /// num_maintenance_threads <= 1.
@@ -405,7 +397,6 @@ class WaveService {
   std::unique_ptr<ShardedCachedDevice> cache_;  // above device_, optional
   ExtentAllocator allocator_;
   DayStore day_store_;
-  std::unique_ptr<ThreadPool> query_pool_;  // optional probe fan-out
   // Before scheme_: the scheme's primitives fan out on this pool, so it must
   // be destroyed after the scheme.
   std::unique_ptr<ThreadPool> maintenance_pool_;

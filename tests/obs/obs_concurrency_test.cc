@@ -85,7 +85,6 @@ TEST(ObsConcurrencyTest, ServiceObservabilityUnderConcurrentAdvance) {
   options.config.num_indexes = 3;
   options.config.technique = UpdateTechniqueKind::kSimpleShadow;
   options.cache_blocks = 64;
-  options.num_query_threads = 2;
   options.metrics_registry = &registry;
   options.trace_sample_rate = 1.0;
   ASSERT_OK_AND_ASSIGN(std::unique_ptr<WaveService> service,

@@ -280,6 +280,23 @@ TEST(FrameReaderTest, ValidFrameUpToTheLimitIsAccepted) {
   EXPECT_EQ(out.payload.size(), 64u);
 }
 
+TEST(FrameReaderTest, LargestQueryReplyFitsTheLimit) {
+  // kMaxReplyEntries entries behind the longest detail the encoder keeps is
+  // the largest PROBE/SCAN reply a server builds; one entry more is not.
+  FrameHeader request;
+  request.type = static_cast<uint8_t>(FrameType::kScan);
+  QueryReply reply;
+  reply.result.code = StatusCode::kPartialResult;
+  reply.result.detail = std::string(0xFFFF, 'd');
+  reply.entries.resize(kMaxReplyEntries);
+  const std::string frame = EncodeQueryReply(request, reply);
+  FrameReader reader;
+  ASSERT_OK(reader.Feed(frame.data(), frame.size()));
+  reply.entries.emplace_back();
+  EXPECT_GT(EncodeQueryReply(request, reply).size() - kFrameHeaderBytes,
+            kMaxPayloadBytes);
+}
+
 TEST(FrameReaderTest, LongStreamCompactsItsBuffer) {
   FrameReader reader;
   Frame out;

@@ -152,17 +152,42 @@ TEST(ServerCoreTest, PipelinedRequestsYieldOrderedReplies) {
 }
 
 TEST(ServerCoreTest, ScanCapTruncatesWithPartialResult) {
-  ServerCore::Options options;
-  options.scan_entry_cap = 5;
-  TestServer server(options);
+  TestServer server;
   ScanRequest request;
   request.range = DayRange::All();
-  request.max_entries = 0;  // asks for everything; the cap must win
+  request.max_entries = 5;  // the tenant holds more than 5 entries
   const Frame reply = Serve(&server, EncodeScanRequest(0, 1, request));
   QueryReply decoded;
   ASSERT_OK(DecodeQueryReply(reply.payload, &decoded));
   EXPECT_EQ(decoded.result.code, StatusCode::kPartialResult);
   EXPECT_EQ(decoded.entries.size(), 5u);
+}
+
+TEST(ServerCoreTest, UncappedScanReplyFitsOneFrame) {
+  // Tenant 1 holds one day of more entries than one reply frame can carry
+  // (two per record).
+  WaveService::Options options;
+  options.scheme = SchemeKind::kDel;
+  options.config.window = 1;
+  options.config.num_indexes = 1;
+  options.config.technique = UpdateTechniqueKind::kSimpleShadow;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<WaveService> big,
+                       WaveService::Create(std::move(options)));
+  std::vector<DayBatch> first;
+  first.push_back(MakeMixedBatch(1, kMaxReplyEntries / 2 + 1000));
+  ASSERT_OK(big->Start(std::move(first)));
+  TestServer server;
+  ASSERT_OK(server.core.AddTenant(1, std::move(big)));
+
+  ScanRequest request;
+  request.range = DayRange::All();
+  request.max_entries = 0;  // as many as fit
+  // Serve reads the reply with a default FrameReader, as every client does.
+  const Frame reply = Serve(&server, EncodeScanRequest(1, 1, request));
+  QueryReply decoded;
+  ASSERT_OK(DecodeQueryReply(reply.payload, &decoded));
+  EXPECT_EQ(decoded.result.code, StatusCode::kPartialResult);
+  EXPECT_EQ(decoded.entries.size(), kMaxReplyEntries);
 }
 
 TEST(ServerCoreTest, RateLimitIsEnforcedOnInjectedClock) {

@@ -138,7 +138,7 @@ TEST(ThreadPoolTest, SubmitConcurrentWithWaitIsSafe) {
 
 TEST(WaitGroupTest, JoinsOnlyItsOwnTasks) {
   // A WaitGroup's Wait must return once ITS tasks are done, even while an
-  // unrelated task (e.g. query fan-out sharing the pool) is still running.
+  // unrelated task (e.g. another stage's work on the same pool) is running.
   ThreadPool pool(4);
   std::atomic<bool> release{false};
   std::atomic<int> unrelated{0};

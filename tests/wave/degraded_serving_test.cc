@@ -12,7 +12,6 @@
 #include "index/index_builder.h"
 #include "storage/fault_injecting_device.h"
 #include "testing/test_env.h"
-#include "util/thread_pool.h"
 #include "wave/scheme_factory.h"
 #include "wave/wave_service.h"
 
@@ -86,32 +85,6 @@ TEST_F(DegradedServingTest, UnhealthyConstituentIsExcludedWithPartialResult) {
   ASSERT_OK(wave_.TimedIndexProbe(DayRange::All(), "alpha", &out));
   ReferenceIndex::Sort(&out);
   EXPECT_EQ(out, reference_.Probe("alpha", kDayNegInf, kDayPosInf));
-}
-
-TEST_F(DegradedServingTest, ParallelQueriesAlsoExcludeUnhealthy) {
-  BuildWave();
-  wave_.constituents()[0]->set_healthy(false);
-  ThreadPool pool(4);
-
-  std::vector<Entry> out;
-  QueryStats stats;
-  Status status = wave_.ParallelTimedIndexProbe(&pool, DayRange::All(),
-                                                "beta", &out, &stats);
-  ASSERT_TRUE(status.IsPartialResult()) << status;
-  EXPECT_EQ(stats.indexes_unhealthy, 1);
-  ReferenceIndex::Sort(&out);
-  EXPECT_EQ(out, late_reference_.Probe("beta", kDayNegInf, kDayPosInf));
-
-  std::vector<Entry> scanned;
-  QueryStats scan_stats;
-  status = wave_.ParallelTimedSegmentScan(
-      &pool, DayRange::All(),
-      [&](const Value&, const Entry& e) { scanned.push_back(e); },
-      &scan_stats);
-  ASSERT_TRUE(status.IsPartialResult()) << status;
-  EXPECT_EQ(scan_stats.indexes_unhealthy, 1);
-  ReferenceIndex::Sort(&scanned);
-  EXPECT_EQ(scanned, late_reference_.ScanAll(kDayNegInf, kDayPosInf));
 }
 
 TEST_F(DegradedServingTest, ProbeFallsBackToScanUnderFlakyReads) {

@@ -306,9 +306,9 @@ TEST(ParallelMaintenanceServiceTest, ProbesServeThroughBackgroundAdvances) {
   // The TSan target: query threads hammer probes while transitions run on
   // the background runner and fan out on the maintenance pool. Every probe
   // must succeed against some complete snapshot.
-  WaveService::Options options = ServiceOptions(SchemeKind::kReindexPlusPlus, 4);
-  options.num_query_threads = 2;
-  ASSERT_OK_AND_ASSIGN(auto service, WaveService::Create(std::move(options)));
+  ASSERT_OK_AND_ASSIGN(
+      auto service,
+      WaveService::Create(ServiceOptions(SchemeKind::kReindexPlusPlus, 4)));
   ASSERT_OK(service->Start(FirstWindow()));
 
   std::atomic<bool> done{false};

@@ -1,141 +1,16 @@
 // Property tests swept over scheme x update technique x (W, n): after every
 // transition, queries must equal a brute-force reference over exactly the
 // window (or the soft window for WATA), all structural invariants must hold,
-// and technique-specific guarantees (packedness, REINDEX++'s one-add
-// transition) must be met.
+// and constituents stay packed where the technique promises it. REINDEX++'s
+// one-add transition is checked in reindex_plus_plus_property_test.cc.
 
-#include <gtest/gtest.h>
-
-#include <tuple>
-
-#include "testing/test_env.h"
-#include "wave/scheme_factory.h"
+#include "wave/scheme_property_test.h"
 
 namespace wavekit {
+namespace testing {
 namespace {
 
-using testing::MakeMixedBatch;
-using testing::ReferenceIndex;
-
-using PropertyParam = std::tuple<SchemeKind, UpdateTechniqueKind, int, int>;
-
-class SchemePropertyTest : public ::testing::TestWithParam<PropertyParam> {
- protected:
-  SchemePropertyTest() : store_(uint64_t{1} << 28) {}
-
-  SchemeKind scheme_kind() const { return std::get<0>(GetParam()); }
-  UpdateTechniqueKind technique() const { return std::get<1>(GetParam()); }
-  int window() const { return std::get<2>(GetParam()); }
-  int num_indexes() const { return std::get<3>(GetParam()); }
-
-  bool ConfigIsValid() const {
-    if (num_indexes() > window()) return false;
-    if ((scheme_kind() == SchemeKind::kWata ||
-         scheme_kind() == SchemeKind::kRata) &&
-        num_indexes() < 2) {
-      return false;
-    }
-    return true;
-  }
-
-  void StartScheme() {
-    SchemeConfig config;
-    config.window = window();
-    config.num_indexes = num_indexes();
-    config.technique = technique();
-    auto made = MakeScheme(scheme_kind(), Env(), config);
-    ASSERT_TRUE(made.ok()) << made.status();
-    scheme_ = std::move(made).ValueOrDie();
-    std::vector<DayBatch> first;
-    for (Day d = 1; d <= window(); ++d) {
-      DayBatch batch = MakeMixedBatch(d);
-      batches_by_day_[d] = batch;
-      first.push_back(std::move(batch));
-    }
-    ASSERT_OK(scheme_->Start(std::move(first)));
-  }
-
-  void Advance() {
-    const Day d = scheme_->current_day() + 1;
-    DayBatch batch = MakeMixedBatch(d);
-    batches_by_day_[d] = batch;
-    ASSERT_OK(scheme_->Transition(std::move(batch)));
-  }
-
-  SchemeEnv Env() {
-    return SchemeEnv{store_.device(), store_.allocator(), &day_store_};
-  }
-
-  // Brute-force reference over days [lo, hi].
-  ReferenceIndex ReferenceOver(Day lo, Day hi) const {
-    ReferenceIndex ref;
-    for (const auto& [day, batch] : batches_by_day_) {
-      if (lo <= day && day <= hi) ref.Add(batch);
-    }
-    return ref;
-  }
-
-  void CheckQueriesMatchReference() {
-    const Day d = scheme_->current_day();
-    const Day lo = d - window() + 1;
-    ReferenceIndex ref = ReferenceOver(lo, d);
-    const DayRange range = DayRange::Window(d, window());
-    // Timed probes for shared values and one day-unique value.
-    for (const Value& value :
-         {Value("alpha"), Value("beta"), Value("gamma"),
-          Value("day" + std::to_string(d)),
-          Value("day" + std::to_string(lo)),
-          Value("day" + std::to_string(lo - 1))}) {
-      std::vector<Entry> got;
-      ASSERT_OK(scheme_->wave().TimedIndexProbe(range, value, &got));
-      ReferenceIndex::Sort(&got);
-      ASSERT_EQ(got, ref.Probe(value, lo, d))
-          << "value '" << value << "' at day " << d;
-    }
-    // Timed scan over the window.
-    std::vector<Entry> scanned;
-    ASSERT_OK(scheme_->wave().TimedSegmentScan(
-        range, [&](const Value&, const Entry& e) { scanned.push_back(e); }));
-    ReferenceIndex::Sort(&scanned);
-    ASSERT_EQ(scanned, ref.ScanAll(lo, d)) << "scan at day " << d;
-    // A narrower timed scan (half the window) must also filter correctly.
-    const Day mid = lo + window() / 2;
-    scanned.clear();
-    ASSERT_OK(scheme_->wave().TimedSegmentScan(
-        DayRange{mid, d},
-        [&](const Value&, const Entry& e) { scanned.push_back(e); }));
-    ReferenceIndex::Sort(&scanned);
-    ASSERT_EQ(scanned, ref.ScanAll(mid, d));
-  }
-
-  void CheckStructuralInvariants() {
-    for (const auto& c : scheme_->wave().constituents()) {
-      ASSERT_OK(c->CheckConsistency()) << c->name();
-    }
-    for (const ConstituentIndex* t : scheme_->TemporaryIndexes()) {
-      ASSERT_OK(t->CheckConsistency()) << t->name();
-    }
-    if (scheme_->hard_window()) {
-      ASSERT_EQ(scheme_->WaveLength(), window());
-    }
-    // Packed guarantees: REINDEX is always packed; under packed shadow
-    // updating, every constituent ends each day packed.
-    if (scheme_kind() == SchemeKind::kReindex ||
-        technique() == UpdateTechniqueKind::kPackedShadow) {
-      for (const auto& c : scheme_->wave().constituents()) {
-        ASSERT_OK(c->CheckPacked()) << c->name();
-      }
-    }
-  }
-
-  Store store_;
-  DayStore day_store_;
-  std::map<Day, DayBatch> batches_by_day_;
-  std::unique_ptr<Scheme> scheme_;
-};
-
 TEST_P(SchemePropertyTest, QueriesMatchBruteForceEveryDay) {
-  if (!ConfigIsValid()) GTEST_SKIP();
   StartScheme();
   CheckStructuralInvariants();
   const int days = 3 * window() + 2;
@@ -147,7 +22,6 @@ TEST_P(SchemePropertyTest, QueriesMatchBruteForceEveryDay) {
 }
 
 TEST_P(SchemePropertyTest, SpaceIsBoundedAcrossCycles) {
-  if (!ConfigIsValid()) GTEST_SKIP();
   StartScheme();
   // Steady-state allocation must not creep upward cycle over cycle (no
   // leaks): compare allocation at the same cycle phase, two cycles apart.
@@ -161,87 +35,38 @@ TEST_P(SchemePropertyTest, SpaceIsBoundedAcrossCycles) {
   EXPECT_LE(after_three_cycles, after_one_cycle * 11 / 10 + 4096);
 }
 
-TEST_P(SchemePropertyTest, ReindexPlusPlusTransitionIsOneAdd) {
-  if (!ConfigIsValid()) GTEST_SKIP();
-  if (scheme_kind() != SchemeKind::kReindexPlusPlus) GTEST_SKIP();
-  if (technique() == UpdateTechniqueKind::kPackedShadow) {
-    GTEST_SKIP() << "packing before promotion adds a smart copy";
-  }
-  StartScheme();
-  for (int i = 0; i < 2 * window(); ++i) {
-    Advance();
-    int transition_adds = 0;
-    int transition_days = 0;
-    for (const OpRecord& r :
-         scheme_->op_log().RecordsAtDay(scheme_->current_day())) {
-      if (r.phase != Phase::kPrecompute) {
-        if (r.kind == OpKind::kAddToIndex) {
-          ++transition_adds;
-          transition_days += r.op_days;
-        }
-        ASSERT_NE(r.kind, OpKind::kBuildIndex)
-            << "REINDEX++ must never build on the critical path";
-        ASSERT_NE(r.kind, OpKind::kCopyIndex);
-      }
-    }
-    ASSERT_EQ(transition_adds, 1);
-    ASSERT_EQ(transition_days, 1)
-        << "the transition critical path is exactly one day's AddToIndex";
-  }
-}
-
-std::string ParamName(
-    const ::testing::TestParamInfo<PropertyParam>& info) {
-  std::string name = SchemeKindName(std::get<0>(info.param));
-  name += "_";
-  name += UpdateTechniqueKindName(std::get<1>(info.param));
-  name += "_W" + std::to_string(std::get<2>(info.param));
-  name += "_n" + std::to_string(std::get<3>(info.param));
-  for (char& c : name) {
-    if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-  }
-  return name;
-}
+const std::vector<SchemeKind> kAllSchemes = {
+    SchemeKind::kDel, SchemeKind::kReindex, SchemeKind::kReindexPlus,
+    SchemeKind::kReindexPlusPlus, SchemeKind::kWata, SchemeKind::kRata};
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, SchemePropertyTest,
-    ::testing::Combine(
-        ::testing::Values(SchemeKind::kDel, SchemeKind::kReindex,
-                          SchemeKind::kReindexPlus,
-                          SchemeKind::kReindexPlusPlus, SchemeKind::kWata,
-                          SchemeKind::kRata),
-        ::testing::Values(UpdateTechniqueKind::kInPlace,
-                          UpdateTechniqueKind::kSimpleShadow,
-                          UpdateTechniqueKind::kPackedShadow),
-        ::testing::Values(6, 10),   // W
-        ::testing::Values(1, 2, 3, 5)),  // n
+    ::testing::ValuesIn(ValidParams(
+        kAllSchemes,
+        {UpdateTechniqueKind::kInPlace, UpdateTechniqueKind::kSimpleShadow,
+         UpdateTechniqueKind::kPackedShadow},
+        {6, 10},         // W
+        {1, 2, 3, 5})),  // n
     ParamName);
 
 // Larger windows with uneven splits (13/2, 13/5) and n == W.
 INSTANTIATE_TEST_SUITE_P(
     LargerWindows, SchemePropertyTest,
-    ::testing::Combine(
-        ::testing::Values(SchemeKind::kDel, SchemeKind::kReindex,
-                          SchemeKind::kReindexPlus,
-                          SchemeKind::kReindexPlusPlus, SchemeKind::kWata,
-                          SchemeKind::kRata),
-        ::testing::Values(UpdateTechniqueKind::kSimpleShadow),
-        ::testing::Values(13),        // W
-        ::testing::Values(2, 5, 13)),  // n
+    ::testing::ValuesIn(ValidParams(kAllSchemes,
+                                    {UpdateTechniqueKind::kSimpleShadow},
+                                    {13},          // W
+                                    {2, 5, 13})),  // n
     ParamName);
 
 // Uneven cluster sizes (W not divisible by n) and the degenerate W == n.
 INSTANTIATE_TEST_SUITE_P(
     EdgeShapes, SchemePropertyTest,
-    ::testing::Combine(
-        ::testing::Values(SchemeKind::kDel, SchemeKind::kReindex,
-                          SchemeKind::kReindexPlus,
-                          SchemeKind::kReindexPlusPlus, SchemeKind::kWata,
-                          SchemeKind::kRata),
-        ::testing::Values(UpdateTechniqueKind::kSimpleShadow),
-        ::testing::Values(7),        // W
-        ::testing::Values(2, 4, 7)),  // n: 7/2, 7/4 uneven; n == W
+    ::testing::ValuesIn(ValidParams(kAllSchemes,
+                                    {UpdateTechniqueKind::kSimpleShadow},
+                                    {7},          // W
+                                    {2, 4, 7})),  // n: 7/2, 7/4 uneven; n == W
     ParamName);
 
 }  // namespace
+}  // namespace testing
 }  // namespace wavekit

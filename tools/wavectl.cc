@@ -22,8 +22,8 @@
 //
 //   wavectl metrics [--scheme=wata] [--window=7] [--indexes=3]
 //                   [--technique=simple-shadow] [--days=14] [--records=200]
-//                   [--probes=200] [--scans=5] [--threads=1]
-//                   [--cache-blocks=1024] [--format=prometheus|json]
+//                   [--probes=200] [--scans=5] [--cache-blocks=1024]
+//                   [--format=prometheus|json]
 //       Serve a short synthetic workload through a WaveService with every
 //       observability hook registered, then dump the unified metrics
 //       registry (device phase counters, cache shard stats, service latency
@@ -442,7 +442,6 @@ Result<std::unique_ptr<WaveService>> ServeSyntheticWorkload(
   }
   WAVEKIT_ASSIGN_OR_RETURN(options.config.codec,
                            CodecModeFromName(args.Get("codec", "raw")));
-  options.num_query_threads = args.GetInt("threads", 1);
   options.cache_blocks = static_cast<size_t>(args.GetInt("cache-blocks", 1024));
   options.storage_backend = args.Get("backend", "memory");
   options.storage_path = args.Get("path", "");
@@ -1400,8 +1399,8 @@ int Main(int argc, char** argv) {
   // service behind metrics/trace/top/export-trace/events/serve-metrics).
   const std::vector<std::string> workload = {
       "scheme",       "window",  "indexes", "technique",   "records",
-      "probes",       "scans",   "days",    "threads",     "cache-blocks",
-      "backend",      "path",    "direct",  "queue-depth", "codec"};
+      "probes",       "scans",   "days",    "cache-blocks", "backend",
+      "path",         "direct",  "queue-depth", "codec"};
   const auto plus = [&workload](std::initializer_list<const char*> extra) {
     std::vector<std::string> flags = workload;
     flags.insert(flags.end(), extra.begin(), extra.end());

@@ -3,14 +3,14 @@
 //   waved [--port=8787] [--bind=127.0.0.1] [--metrics-port=0]
 //         [--tenants=4] [--scheme=wata] [--window=7] [--indexes=3]
 //         [--technique=simple-shadow] [--codec=raw] [--records=200]
-//         [--query-threads=4] [--cache-blocks=1024]
+//         [--cache-blocks=1024]
 //         [--rate-limit=0] [--burst=0] [--max-sessions=0]
 //         [--idle-timeout-ms=30000] [--async-advance] [--seed=42]
 //
 // Boots `--tenants` independent wave indexes (each bootstrapped with a
 // synthetic Netnews first window seeded per tenant, so probes answer real
-// data immediately), shares ONE query ThreadPool across all of them, and
-// serves the binary protocol (serve/protocol.h) on --port. SIGTERM/SIGINT
+// data immediately) and serves the binary protocol (serve/protocol.h) on
+// --port from one epoll thread; every probe runs inline on it. SIGTERM/SIGINT
 // trigger a graceful drain: stop accepting, answer everything in flight,
 // finish queued async advances, exit 0.
 //
@@ -22,7 +22,7 @@
 //
 // Prints one line when ready:
 //   waved ready port=<p> metrics_port=<mp> tenants=<n> pid=<pid>
-// (waveload and the CI smoke test parse it.)
+// (perfbench and the CI smoke test parse it.)
 
 #include <algorithm>
 #include <csignal>
@@ -38,9 +38,7 @@
 #include "obs/metrics.h"
 #include "serve/server_core.h"
 #include "serve/server_loop.h"
-#include "serve/shared_pool.h"
 #include "util/macros.h"
-#include "util/thread_pool.h"
 #include "wave/scheme_factory.h"
 #include "wave/wave_service.h"
 #include "workload/netnews.h"
@@ -104,11 +102,10 @@ volatile std::sig_atomic_t g_shutdown_requested = 0;
 
 void HandleShutdownSignal(int) { g_shutdown_requested = 1; }
 
-/// Builds one tenant's WaveService sharing `query_pool`, bootstrapped with a
-/// per-tenant Netnews first window so the daemon serves data from request 1.
+/// Builds one tenant's WaveService, bootstrapped with a per-tenant Netnews
+/// first window so the daemon serves data from request 1.
 Result<std::unique_ptr<WaveService>> MakeTenant(
-    const Args& args, uint16_t tenant_id, ThreadPool* query_pool,
-    obs::MetricsRegistry* registry) {
+    const Args& args, uint16_t tenant_id, obs::MetricsRegistry* registry) {
   WaveService::Options options;
   WAVEKIT_ASSIGN_OR_RETURN(options.scheme,
                            SchemeKindFromName(args.Get("scheme", "wata")));
@@ -124,22 +121,9 @@ Result<std::unique_ptr<WaveService>> MakeTenant(
     options.config.size_bound_entries =
         records * 60 * static_cast<uint64_t>(options.config.window);
   }
-  const int query_threads = args.GetInt("query-threads", 4);
-  options.num_query_threads = query_threads;
   options.cache_blocks = static_cast<size_t>(args.GetInt("cache-blocks", 1024));
   options.metrics_registry = registry;
   options.event_ring_capacity = 256;
-  if (query_threads > 1 && query_pool != nullptr) {
-    options.pool_factory = [query_pool](int threads, const std::string& role)
-        -> std::unique_ptr<ThreadPool> {
-      if (role == "query") {
-        return std::make_unique<serve::SharedPool>(query_pool);
-      }
-      // Maintenance and the async-advance runner stay per-tenant: the
-      // runner must be a dedicated single worker for in-order publishes.
-      return std::make_unique<ThreadPool>(threads);
-    };
-  }
   WAVEKIT_ASSIGN_OR_RETURN(std::unique_ptr<WaveService> service,
                            WaveService::Create(options));
 
@@ -160,9 +144,9 @@ int Serve(const Args& args) {
   const std::vector<std::string> allowed = {
       "port",         "bind",          "metrics-port",   "no-metrics",
       "tenants",      "scheme",        "window",         "indexes",
-      "technique",    "codec",         "records",        "query-threads",
-      "cache-blocks", "rate-limit",    "burst",          "max-sessions",
-      "idle-timeout-ms", "async-advance", "seed",        "scan-cap"};
+      "technique",    "codec",         "records",        "cache-blocks",
+      "rate-limit",   "burst",         "max-sessions",   "idle-timeout-ms",
+      "async-advance", "seed"};
   const std::vector<std::string> unknown = args.Unknown(allowed);
   if (!unknown.empty()) {
     std::cerr << "waved: unknown arguments:";
@@ -179,27 +163,16 @@ int Serve(const Args& args) {
 
   obs::MetricsRegistry registry;
 
-  // One pool for ALL tenants' query fan-out (ROADMAP item 1: "many
-  // independent wave indexes over shared devices and one ThreadPool").
-  const int query_threads = args.GetInt("query-threads", 4);
-  std::unique_ptr<ThreadPool> shared_query_pool;
-  if (query_threads > 1) {
-    shared_query_pool = std::make_unique<ThreadPool>(query_threads);
-  }
-
   serve::ServerCore::Options core_options;
   core_options.tenant_rate_limit_rps = args.GetDouble("rate-limit", 0);
   core_options.tenant_rate_limit_burst = args.GetDouble("burst", 0);
   core_options.max_sessions = static_cast<size_t>(args.GetInt("max-sessions", 0));
-  core_options.scan_entry_cap =
-      static_cast<uint32_t>(args.GetInt("scan-cap", 1 << 20));
   core_options.async_advance = args.GetBool("async-advance");
   core_options.metrics_registry = &registry;
   serve::ServerCore core(core_options);
 
   for (int t = 0; t < tenants; ++t) {
-    auto service = MakeTenant(args, static_cast<uint16_t>(t),
-                              shared_query_pool.get(), &registry);
+    auto service = MakeTenant(args, static_cast<uint16_t>(t), &registry);
     if (!service.ok()) {
       std::cerr << "waved: tenant " << t << ": " << service.status() << "\n";
       return 1;
