@@ -191,6 +191,10 @@ TEST(ServerLoopTest, DrainAnswersInflightThenCloses) {
   TestDaemon daemon;
   auto client = daemon.Connect();
   ASSERT_NE(client, nullptr);
+  // Drain serves open sessions and refuses new ones. Connect returns once
+  // the handshake is done, possibly before the loop has accepted the
+  // connection; one round trip makes the session live before the drain.
+  ASSERT_OK(client->Stats().status());
   const DayRange range = DayRange::Window(kWindow, kWindow);
 
   // Fire pipelined probes and immediately drain: every request that made it
