@@ -10,7 +10,7 @@
 #include "bench/common.h"
 
 #include "index/index_builder.h"
-#include "storage/cached_device.h"
+#include "storage/sharded_cached_device.h"
 #include "wave/checkpoint.h"
 #include "workload/netnews.h"
 #include "workload/tpcd.h"
@@ -50,7 +50,7 @@ CacheRun RunProbes(Generator& gen, Sampler sample_value,
   const size_t cache_blocks = std::max<size_t>(
       static_cast<size_t>(cache_fraction * static_cast<double>(index_blocks)),
       1);
-  CachedDevice cached(&metered, cache_blocks, kBlock);
+  ShardedCachedDevice cached(&metered, cache_blocks, kBlock, /*num_shards=*/1);
 
   // Probe through the cache. ConstituentIndex binds its device at
   // construction, so reopen a read view of the same buckets behind the

@@ -4,8 +4,9 @@
 // constituents need "no concurrency control" on the read path. This bench
 // quantifies the payoff at the storage layer: N reader threads issue Zipfian
 // TimedIndexProbes (and TimedSegmentScans) against the same wave index, once
-// with every block-cache access serialized behind one global mutex (the
-// pre-sharding design) and once through the lock-striped ShardedCachedDevice.
+// with every block-cache access serialized behind one global mutex (a
+// one-shard ShardedCachedDevice, the pre-sharding design) and once through
+// the 16-shard lock-striped cache.
 //
 // The backing store models disk read latency with a real sleep below the
 // cache, so a cache miss parks its reader the way a disk read would. Under
@@ -24,14 +25,12 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/common.h"
 #include "obs/attach.h"
-#include "storage/cached_device.h"
 #include "storage/device.h"
 #include "storage/extent_allocator.h"
 #include "storage/metered_device.h"
@@ -77,30 +76,6 @@ class SimulatedLatencyDevice : public Device {
 
  private:
   Device* inner_;
-};
-
-/// The pre-sharding baseline: one LRU cache, one mutex, every reader
-/// serialized — including cache hits, and including the simulated disk wait
-/// of whoever is missing.
-class GlobalMutexCachedDevice : public Device {
- public:
-  GlobalMutexCachedDevice(Device* inner, size_t capacity_blocks,
-                          uint64_t block_size)
-      : cache_(inner, capacity_blocks, block_size) {}
-
-  Status Read(uint64_t offset, std::span<std::byte> out) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cache_.Read(offset, out);
-  }
-  Status Write(uint64_t offset, std::span<const std::byte> data) override {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return cache_.Write(offset, data);
-  }
-  uint64_t capacity() const override { return cache_.capacity(); }
-
- private:
-  std::mutex mutex_;
-  CachedDevice cache_;
 };
 
 DayBatch MakeZipfBatch(Day day) {
@@ -290,7 +265,8 @@ int main() {
   MeteredDevice device_a(&slow_a), device_b(&slow_b);
   ExtentAllocator allocator_a(kCapacity), allocator_b(kCapacity);
   DayStore day_store_a, day_store_b;
-  GlobalMutexCachedDevice global_cache(&device_a, kCacheBlocks, kBlockSize);
+  ShardedCachedDevice global_cache(&device_a, kCacheBlocks, kBlockSize,
+                                   /*num_shards=*/1);
   ShardedCachedDevice sharded_cache(&device_b, kCacheBlocks, kBlockSize,
                                     kNumShards);
 

@@ -1,5 +1,6 @@
 // Micro-benchmarks of the storage extensions: checkpoint serialize/load,
-// the LRU cached device, the extent allocator, and the thread pool.
+// a one-shard (plain LRU) block cache, the extent allocator, and the thread
+// pool.
 
 #include <benchmark/benchmark.h>
 
@@ -7,7 +8,7 @@
 #include <vector>
 
 #include "index/index_builder.h"
-#include "storage/cached_device.h"
+#include "storage/sharded_cached_device.h"
 #include "storage/store.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -68,7 +69,8 @@ BENCHMARK(BM_CheckpointDeserialize)->Arg(2)->Arg(7)->Arg(30);
 void BM_CachedDeviceRead(benchmark::State& state) {
   const bool hot = state.range(0) != 0;
   MemoryDevice memory(uint64_t{1} << 24);
-  CachedDevice cached(&memory, /*capacity_blocks=*/256);
+  ShardedCachedDevice cached(&memory, /*capacity_blocks=*/256,
+                             /*block_size=*/4096, /*num_shards=*/1);
   std::vector<std::byte> buf(4096, std::byte{1});
   for (uint64_t i = 0; i < 1024; ++i) {
     memory.Write(i * 4096, buf).Abort("fill");

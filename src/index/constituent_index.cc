@@ -142,6 +142,17 @@ Status ConstituentIndex::WriteEntriesAt(uint64_t offset,
       offset, std::span<const std::byte>(bytes, entries.size() * kEntrySize));
 }
 
+Result<Extent> ConstituentIndex::WriteToNewExtent(
+    uint64_t length, std::span<const Entry> entries) {
+  WAVEKIT_ASSIGN_OR_RETURN(Extent extent, allocator_->Allocate(length));
+  Status written = WriteEntriesAt(extent.offset, entries);
+  if (!written.ok()) {
+    (void)allocator_->Free(extent);
+    return written;
+  }
+  return extent;
+}
+
 Status ConstituentIndex::Probe(const Value& value,
                                std::vector<Entry>* out) const {
   return TimedProbe(value, DayRange::All(), out);
@@ -338,9 +349,8 @@ Status ConstituentIndex::AppendEntries(const Value& value,
   if (info == nullptr) {
     const uint32_t capacity =
         options_.growth.InitialCapacity(static_cast<uint32_t>(entries.size()));
-    WAVEKIT_ASSIGN_OR_RETURN(Extent extent,
-                             allocator_->Allocate(capacity * kEntrySize));
-    WAVEKIT_RETURN_NOT_OK(WriteEntriesAt(extent.offset, entries));
+    WAVEKIT_ASSIGN_OR_RETURN(
+        Extent extent, WriteToNewExtent(capacity * kEntrySize, entries));
     WAVEKIT_RETURN_NOT_OK(directory_->Insert(
         value, BucketInfo{extent, static_cast<uint32_t>(entries.size()),
                           capacity, Crc32c(entry_bytes, entry_byte_count)}));
@@ -364,10 +374,10 @@ Status ConstituentIndex::AppendEntries(const Value& value,
         options_.growth.GrownCapacity(info->capacity, needed);
     std::vector<Entry> existing;
     WAVEKIT_RETURN_NOT_OK(ReadBucketEntries(value, *info, &existing));
-    WAVEKIT_ASSIGN_OR_RETURN(Extent new_extent,
-                             allocator_->Allocate(new_capacity * kEntrySize));
     existing.insert(existing.end(), entries.begin(), entries.end());
-    WAVEKIT_RETURN_NOT_OK(WriteEntriesAt(new_extent.offset, existing));
+    WAVEKIT_ASSIGN_OR_RETURN(
+        Extent new_extent,
+        WriteToNewExtent(new_capacity * kEntrySize, existing));
     WAVEKIT_RETURN_NOT_OK(allocator_->Free(info->extent));
     allocated_bytes_ += new_extent.length;
     allocated_bytes_ -= info->extent.length;
@@ -431,8 +441,7 @@ Status ConstituentIndex::DeleteDays(const TimeSet& days) {
       // too small for the surviving raw entries, so rewrite-on-mutation
       // lands them in a fresh kRaw extent.
       WAVEKIT_ASSIGN_OR_RETURN(Extent new_extent,
-                               allocator_->Allocate(shrunk * kEntrySize));
-      WAVEKIT_RETURN_NOT_OK(WriteEntriesAt(new_extent.offset, kept));
+                               WriteToNewExtent(shrunk * kEntrySize, kept));
       WAVEKIT_RETURN_NOT_OK(allocator_->Free(info->extent));
       allocated_bytes_ += new_extent.length;
       allocated_bytes_ -= info->extent.length;
@@ -462,12 +471,6 @@ Status ConstituentIndex::RemoveValue(const Value& value) {
   layout_order_.erase(
       std::find(layout_order_.begin(), layout_order_.end(), value));
   return Status::OK();
-}
-
-Status ConstituentIndex::InstallBucket(const Value& value, const Extent& extent,
-                                       uint32_t count, uint32_t capacity,
-                                       uint32_t crc) {
-  return InstallBucket(value, BucketInfo{extent, count, capacity, crc});
 }
 
 Status ConstituentIndex::InstallBucket(const Value& value,
@@ -523,30 +526,36 @@ Result<std::unique_ptr<ConstituentIndex>> ConstituentIndex::CloneTo(
   std::vector<std::byte> buffer;
   for (const Value& value : layout_order_) {
     const BucketInfo* info = directory_->Find(value);
+    Status status;
     if (info == nullptr) {
-      WAVEKIT_RETURN_NOT_OK(allocator->Free(region));
-      return Status::Internal("layout order lists unknown value '" + value +
-                              "' in index " + name_);
-    }
-    // Copy the full capacity (slack included), preserving S' footprint. A
-    // compressed extent is exactly its stored bytes; the clone keeps the
-    // codec (no decode/re-encode round trip on the copy path).
-    buffer.resize(info->extent.length);
-    WAVEKIT_RETURN_NOT_OK(device_->Read(info->extent.offset, buffer));
-    // Verify before propagating: a clone must not launder corrupt bytes
-    // into a fresh extent with a recomputed checksum.
-    {
-      Status verified = VerifyBucketBytes(value, info->crc, buffer.data(),
-                                          info->stored_length());
-      if (!verified.ok()) {
-        (void)allocator->Free(region);
-        return verified;
+      status = Status::Internal("layout order lists unknown value '" + value +
+                                "' in index " + name_);
+    } else {
+      // Copy the full capacity (slack included), preserving S' footprint. A
+      // compressed extent is exactly its stored bytes; the clone keeps the
+      // codec (no decode/re-encode round trip on the copy path).
+      buffer.resize(info->extent.length);
+      status = device_->Read(info->extent.offset, buffer);
+      // Verify before propagating: a clone must not launder corrupt bytes
+      // into a fresh extent with a recomputed checksum.
+      if (status.ok()) {
+        status = VerifyBucketBytes(value, info->crc, buffer.data(),
+                                   info->stored_length());
+      }
+      if (status.ok()) status = device->Write(cursor, buffer);
+      if (status.ok()) {
+        status = clone->InstallBucket(
+            value, BucketInfo{Extent{cursor, info->extent.length},
+                              info->count, info->capacity, info->crc,
+                              info->codec});
       }
     }
-    WAVEKIT_RETURN_NOT_OK(device->Write(cursor, buffer));
-    WAVEKIT_RETURN_NOT_OK(clone->InstallBucket(
-        value, BucketInfo{Extent{cursor, info->extent.length}, info->count,
-                          info->capacity, info->crc, info->codec}));
+    if (!status.ok()) {
+      // The clone's destructor frees the buckets it installed; the rest of
+      // the region is freed here.
+      (void)allocator->Free(Extent{cursor, region.end() - cursor});
+      return status;
+    }
     cursor += info->extent.length;
   }
   clone->time_set_ = time_set_;

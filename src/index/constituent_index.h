@@ -200,16 +200,11 @@ class ConstituentIndex {
   /// the time-set. This is the in-place form of DeleteFromIndex.
   Status DeleteDays(const TimeSet& days);
 
-  /// Installs a pre-written bucket (used by the packed builder and packed
-  /// shadow updater). The extent must already contain `count` entries whose
-  /// bytes checksum to `crc` (CRC-32C of the live prefix).
-  Status InstallBucket(const Value& value, const Extent& extent,
-                       uint32_t count, uint32_t capacity, uint32_t crc);
-
-  /// Installs a pre-written bucket with full metadata (codec included). For
-  /// a compressed codec the extent must be exactly the encoded bytes
-  /// (strictly smaller than raw) of a count == capacity bucket, and `crc`
-  /// covers those stored bytes.
+  /// Installs a pre-written bucket (packed writer, clones, checkpoint
+  /// restore). The extent must already hold the bucket's stored bytes, and
+  /// `info.crc` is their CRC-32C: the live prefix of `count` entries for
+  /// kRaw. For a compressed codec the extent must be exactly the encoded
+  /// bytes (strictly smaller than raw) of a count == capacity bucket.
   Status InstallBucket(const Value& value, const BucketInfo& info);
 
   // --- Whole-index operations -------------------------------------------------
@@ -253,6 +248,10 @@ class ConstituentIndex {
   Status ReadBucketEntries(const Value& value, const BucketInfo& info,
                            std::vector<Entry>* out) const;
   Status WriteEntriesAt(uint64_t offset, std::span<const Entry> entries);
+  /// Allocates `length` bytes and writes `entries` at their start. A failed
+  /// write frees the extent again, so a failed mutation leaks nothing.
+  Result<Extent> WriteToNewExtent(uint64_t length,
+                                  std::span<const Entry> entries);
   Status RemoveValue(const Value& value);
 
   /// Verifies `crc` against the `length` stored bytes just read for

@@ -1,7 +1,5 @@
 #include "index/index_builder.h"
 
-#include <algorithm>
-#include <cstring>
 #include <map>
 #include <set>
 #include <vector>
@@ -15,470 +13,212 @@ namespace wavekit {
 
 namespace {
 
-// One bucket of a codec-enabled build: the merged entries, the encoding
-// decision, and the checksum over the stored bytes. Encoding is a pure
-// function of the merged entry sequence, so the serial and parallel codec
-// builds emit byte-identical extents.
-struct CodecBuildBucket {
-  std::vector<Entry> entries;
-  EncodedBucket encoded;
-  uint64_t stored = 0;
-  uint32_t crc = 0;
-
-  const std::byte* bytes() const {
-    return encoded.codec == Codec::kRaw
-               ? reinterpret_cast<const std::byte*>(entries.data())
-               : encoded.bytes.data();
+// Calls fn(part, begin, end) for each of parallel.Partitions(items)
+// contiguous slices of [0, items): as tasks on the pool when `parallel` is
+// enabled, inline as one slice otherwise.
+template <typename Fn>
+void ForEachSlice(const ParallelContext& parallel, size_t items,
+                  const Fn& fn) {
+  if (!parallel.enabled()) {
+    fn(size_t{0}, size_t{0}, items);
+    return;
   }
-};
-
-void EncodeForBuild(CodecMode mode, CodecBuildBucket* bucket) {
-  bucket->encoded =
-      EncodeBucket(bucket->entries.data(), bucket->entries.size(), mode);
-  bucket->stored = bucket->encoded.stored_length(bucket->entries.size());
-  bucket->crc = Crc32c(bucket->bytes(), bucket->stored);
+  const size_t parts = parallel.Partitions(items);
+  ThreadPool::WaitGroup group(parallel.pool);
+  for (size_t p = 0; p < parts; ++p) {
+    group.Submit([&fn, p, parts, items]() {
+      fn(p, items * p / parts, items * (p + 1) / parts);
+    });
+  }
+  group.Wait();
 }
 
-Status InstallCodecBucket(ConstituentIndex* index, const Value& value,
-                          uint64_t offset, const CodecBuildBucket& bucket) {
-  const uint32_t n = static_cast<uint32_t>(bucket.entries.size());
-  return index->InstallBucket(
-      value, BucketInfo{Extent{offset, bucket.stored}, n, n, bucket.crc,
-                        bucket.encoded.codec});
+Status FirstError(std::vector<Status>& statuses) {
+  for (Status& status : statuses) {
+    if (!status.ok()) return std::move(status);
+  }
+  return Status::OK();
 }
 
-// The original single-thread build, kept verbatim: with
-// num_maintenance_threads=1 the metered op sequence (one Write per bucket,
-// fully sequential) must reproduce byte-identically for the cost model.
-Result<std::unique_ptr<ConstituentIndex>> BuildPackedSerial(
-    Device* device, ExtentAllocator* allocator,
-    ConstituentIndex::Options options,
-    std::span<const DayBatch* const> batches, std::string name) {
-  auto index = std::make_unique<ConstituentIndex>(device, allocator, options,
-                                                  std::move(name));
-  // Pass 1: group entries per value. std::map keeps buckets in sorted value
-  // order, which becomes the on-device layout order.
-  std::map<Value, std::vector<Entry>> grouped;
-  uint64_t total_entries = 0;
-  for (const DayBatch* batch : batches) {
-    for (const Record& record : batch->records) {
-      for (size_t i = 0; i < record.values.size(); ++i) {
-        grouped[record.values[i]].push_back(
-            Entry{record.record_id, batch->day, record.AuxFor(i)});
-        ++total_entries;
-      }
+using GroupMap = std::map<Value, std::vector<Entry>>;
+
+// Pass 1: entries grouped per value in sorted value order (the on-device
+// layout order), each bucket's entries in batch order, then record order.
+// In parallel, each chunk of batches is grouped into its own sorted map in
+// `*groups` and each value-range partition then merges its buckets across
+// the maps; chunk order is batch order, so the buckets equal the serial
+// ones. The caller keeps `*groups` until the buckets are installed: freed
+// first, the maps' nodes would be reused by the directory's nodes in map
+// order, and every later scan of the index walks the directory in layout
+// order (a packed-shadow update measured ~10% slower that way).
+Result<PackedBuckets> GroupBatches(std::span<const DayBatch* const> batches,
+                                   const ParallelContext& parallel,
+                                   std::vector<GroupMap>* groups) {
+  std::vector<GroupMap>& local = *groups;
+  local.resize(parallel.Partitions(batches.size()));
+  std::vector<Status> group_status(local.size());
+  ForEachSlice(parallel, batches.size(),
+               [&](size_t p, size_t begin, size_t end) {
+                 if (parallel.enabled()) {
+                   group_status[p] =
+                       CrashPoints::Check("builder.parallel.group");
+                   if (!group_status[p].ok()) return;
+                 }
+                 auto& mine = local[p];
+                 for (size_t b = begin; b < end; ++b) {
+                   const DayBatch* batch = batches[b];
+                   for (const Record& record : batch->records) {
+                     for (size_t i = 0; i < record.values.size(); ++i) {
+                       mine[record.values[i]].push_back(Entry{
+                           record.record_id, batch->day, record.AuxFor(i)});
+                     }
+                   }
+                 }
+               });
+  WAVEKIT_RETURN_NOT_OK(FirstError(group_status));
+
+  PackedBuckets buckets;
+  if (local.size() == 1) {
+    buckets.reserve(local[0].size());
+    for (auto& [value, entries] : local[0]) {
+      buckets.emplace_back(value, std::move(entries));
     }
+    return buckets;
   }
-
-  // Pass 2: one contiguous region; exactly-sized buckets written
-  // back-to-back, so the write stream is fully sequential (one seek).
-  WAVEKIT_ASSIGN_OR_RETURN(Extent region,
-                           allocator->Allocate(total_entries * kEntrySize));
-  uint64_t cursor = region.offset;
-  for (const auto& [value, entries] : grouped) {
-    const uint64_t length = entries.size() * kEntrySize;
-    auto* bytes = reinterpret_cast<const std::byte*>(entries.data());
-    WAVEKIT_RETURN_NOT_OK(
-        device->Write(cursor, std::span<const std::byte>(bytes, length)));
-    WAVEKIT_RETURN_NOT_OK(index->InstallBucket(
-        value, Extent{cursor, length}, static_cast<uint32_t>(entries.size()),
-        static_cast<uint32_t>(entries.size()), Crc32c(bytes, length)));
-    cursor += length;
-  }
-
-  for (const DayBatch* batch : batches) {
-    index->mutable_time_set().insert(batch->day);
-  }
-  index->set_packed(true);
-  return index;
-}
-
-// Codec-enabled serial build: the same two-pass shape as BuildPackedSerial,
-// with an encode step between grouping and the write pass. Bucket offsets
-// are the running sums of *encoded* sizes (content-dependent), so layout is
-// computed only after every bucket is encoded.
-Result<std::unique_ptr<ConstituentIndex>> BuildPackedSerialCodec(
-    Device* device, ExtentAllocator* allocator,
-    ConstituentIndex::Options options,
-    std::span<const DayBatch* const> batches, std::string name) {
-  auto index = std::make_unique<ConstituentIndex>(device, allocator, options,
-                                                  std::move(name));
-  std::map<Value, std::vector<Entry>> grouped;
-  for (const DayBatch* batch : batches) {
-    for (const Record& record : batch->records) {
-      for (size_t i = 0; i < record.values.size(); ++i) {
-        grouped[record.values[i]].push_back(
-            Entry{record.record_id, batch->day, record.AuxFor(i)});
-      }
-    }
-  }
-
-  std::vector<const Value*> order;
-  std::vector<CodecBuildBucket> buckets;
-  order.reserve(grouped.size());
-  buckets.reserve(grouped.size());
-  uint64_t total_bytes = 0;
-  for (auto& [value, entries] : grouped) {
-    order.push_back(&value);
-    CodecBuildBucket bucket;
-    bucket.entries = std::move(entries);
-    EncodeForBuild(options.codec, &bucket);
-    total_bytes += bucket.stored;
-    buckets.push_back(std::move(bucket));
-  }
-
-  WAVEKIT_ASSIGN_OR_RETURN(Extent region, allocator->Allocate(total_bytes));
-  uint64_t cursor = region.offset;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    const CodecBuildBucket& bucket = buckets[i];
-    WAVEKIT_RETURN_NOT_OK(device->Write(
-        cursor, std::span<const std::byte>(bucket.bytes(),
-                                           static_cast<size_t>(bucket.stored))));
-    WAVEKIT_RETURN_NOT_OK(
-        InstallCodecBucket(index.get(), *order[i], cursor, bucket));
-    cursor += bucket.stored;
-  }
-
-  for (const DayBatch* batch : batches) {
-    index->mutable_time_set().insert(batch->day);
-  }
-  index->set_packed(true);
-  return index;
-}
-
-// Parallel pipeline: (1) group each contiguous chunk of day batches into a
-// sorted local map on the pool; (2) compute the exact serial bucket layout
-// from the local maps (cheap arithmetic — same region, same offsets, same
-// sorted value order as BuildPackedSerial); (3) range-partition the value
-// space and let each task merge its partition's buckets (chunk order ==
-// batch order, so entry order matches the serial build) and write them with
-// ~1 MiB WriteBatch calls; (4) install directory metadata serially. Output
-// bytes and layout are identical to the serial build; only the I/O schedule
-// (few large batched writes instead of one Write per bucket) differs.
-Result<std::unique_ptr<ConstituentIndex>> BuildPackedParallel(
-    Device* device, ExtentAllocator* allocator,
-    ConstituentIndex::Options options,
-    std::span<const DayBatch* const> batches, std::string name,
-    const ParallelContext& parallel) {
-  auto index = std::make_unique<ConstituentIndex>(device, allocator, options,
-                                                  std::move(name));
-
-  // Stage 1: concurrent grouping, one sorted map per batch chunk.
-  const size_t group_parts = parallel.Partitions(batches.size());
-  std::vector<std::map<Value, std::vector<Entry>>> local(
-      std::max<size_t>(group_parts, 1));
-  std::vector<Status> group_status(local.size(), Status::OK());
-  {
-    ThreadPool::WaitGroup group(parallel.pool);
-    for (size_t p = 0; p < group_parts; ++p) {
-      group.Submit([&, p]() {
-        Status crash = CrashPoints::Check("builder.parallel.group");
-        if (!crash.ok()) {
-          group_status[p] = std::move(crash);
-          return;
-        }
-        const size_t begin = batches.size() * p / group_parts;
-        const size_t end = batches.size() * (p + 1) / group_parts;
-        auto& mine = local[p];
-        for (size_t b = begin; b < end; ++b) {
-          const DayBatch* batch = batches[b];
-          for (const Record& record : batch->records) {
-            for (size_t i = 0; i < record.values.size(); ++i) {
-              mine[record.values[i]].push_back(
-                  Entry{record.record_id, batch->day, record.AuxFor(i)});
-            }
-          }
-        }
-      });
-    }
-    group.Wait();
-  }
-  for (Status& status : group_status) {
-    WAVEKIT_RETURN_NOT_OK(status);
-  }
-
-  // Distinct values in global sorted order, then the per-value entry counts
-  // that fix the serial layout. Each local map is consumed once with an
-  // advancing cursor, so this costs O(sum of map sizes), not O(V * chunks).
   std::set<Value> distinct;
   for (const auto& m : local) {
     for (const auto& [value, entries] : m) distinct.insert(value);
   }
-  const std::vector<Value> values(distinct.begin(), distinct.end());
-  std::vector<uint64_t> counts(values.size(), 0);
-  uint64_t total_entries = 0;
-  for (const auto& m : local) {
-    size_t i = 0;
-    for (const auto& [value, entries] : m) {
-      while (values[i] < value) ++i;
-      counts[i] += entries.size();
-      total_entries += entries.size();
+  buckets.reserve(distinct.size());
+  for (const Value& value : distinct) {
+    buckets.emplace_back(value, std::vector<Entry>{});
+  }
+  ForEachSlice(parallel, buckets.size(), [&](size_t, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      auto& [value, entries] = buckets[i];
+      for (const auto& m : local) {
+        auto it = m.find(value);
+        if (it == m.end()) continue;
+        entries.insert(entries.end(), it->second.begin(), it->second.end());
+      }
     }
-  }
-  std::vector<uint64_t> bucket_starts(values.size(), 0);
-  uint64_t running = 0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    bucket_starts[i] = running;
-    running += counts[i] * kEntrySize;
-  }
-
-  WAVEKIT_ASSIGN_OR_RETURN(Extent region,
-                           allocator->Allocate(total_entries * kEntrySize));
-
-  // Stage 2: each value-range partition merges its buckets (entries in chunk
-  // order) into chunk-sized buffers and writes them batched. Partitions
-  // cover disjoint, precomputed regions, so the writes never overlap. Bucket
-  // checksums fall out of the merge (each task fills a disjoint slice):
-  // chunk order == batch order, so they equal the serial build's.
-  std::vector<uint32_t> crcs(values.size(), 0);
-  const size_t value_parts = parallel.Partitions(values.size());
-  std::vector<Status> write_status(std::max<size_t>(value_parts, 1),
-                                   Status::OK());
-  {
-    ThreadPool::WaitGroup group(parallel.pool);
-    for (size_t p = 0; p < value_parts; ++p) {
-      group.Submit([&, p]() {
-        Status status = CrashPoints::Check("builder.parallel.write");
-        if (!status.ok()) {
-          write_status[p] = std::move(status);
-          return;
-        }
-        const size_t vbegin = values.size() * p / value_parts;
-        const size_t vend = values.size() * (p + 1) / value_parts;
-        std::vector<Extent> extents;
-        std::vector<std::byte> buffer;
-        auto flush = [&]() -> Status {
-          if (extents.empty()) return Status::OK();
-          Status written = device->WriteBatch(extents, buffer);
-          extents.clear();
-          buffer.clear();
-          return written;
-        };
-        for (size_t i = vbegin; i < vend; ++i) {
-          extents.push_back(
-              Extent{region.offset + bucket_starts[i], counts[i] * kEntrySize});
-          for (const auto& m : local) {
-            auto it = m.find(values[i]);
-            if (it == m.end()) continue;
-            const auto* bytes =
-                reinterpret_cast<const std::byte*>(it->second.data());
-            buffer.insert(buffer.end(), bytes,
-                          bytes + it->second.size() * kEntrySize);
-            crcs[i] = Crc32cExtend(crcs[i], bytes,
-                                   it->second.size() * kEntrySize);
-          }
-          if (buffer.size() >= IndexBuilder::kWriteChunkBytes) {
-            status = flush();
-            if (!status.ok()) break;
-          }
-        }
-        if (status.ok()) status = flush();
-        write_status[p] = std::move(status);
-      });
-    }
-    group.Wait();
-  }
-  Status failed = Status::OK();
-  for (Status& status : write_status) {
-    if (!status.ok() && failed.ok()) failed = std::move(status);
-  }
-  if (!failed.ok()) {
-    // All-or-nothing: no bucket was installed yet, so the whole region goes
-    // back and the caller may retry cleanly.
-    (void)allocator->Free(region);
-    return failed;
-  }
-
-  // Stage 3: serial metadata install in layout order (the directory is not
-  // thread-safe, and this is pure in-memory work).
-  for (size_t i = 0; i < values.size(); ++i) {
-    WAVEKIT_RETURN_NOT_OK(index->InstallBucket(
-        values[i],
-        Extent{region.offset + bucket_starts[i], counts[i] * kEntrySize},
-        static_cast<uint32_t>(counts[i]), static_cast<uint32_t>(counts[i]),
-        crcs[i]));
-  }
-
-  for (const DayBatch* batch : batches) {
-    index->mutable_time_set().insert(batch->day);
-  }
-  index->set_packed(true);
-  return index;
-}
-
-// Codec-enabled parallel build. Stage 1 (chunk grouping) is unchanged, but
-// the write stage is restructured: delta coding crosses chunk boundaries,
-// so each value-range partition first merges its buckets (chunk order ==
-// batch order, matching the serial build) and encodes them whole; a serial
-// prefix-sum over the encoded sizes then fixes the layout, and a final
-// parallel stage writes the encoded buckets batched. The resulting device
-// bytes are identical to BuildPackedSerialCodec's.
-Result<std::unique_ptr<ConstituentIndex>> BuildPackedParallelCodec(
-    Device* device, ExtentAllocator* allocator,
-    ConstituentIndex::Options options,
-    std::span<const DayBatch* const> batches, std::string name,
-    const ParallelContext& parallel) {
-  auto index = std::make_unique<ConstituentIndex>(device, allocator, options,
-                                                  std::move(name));
-
-  // Stage 1: concurrent grouping, one sorted map per batch chunk.
-  const size_t group_parts = parallel.Partitions(batches.size());
-  std::vector<std::map<Value, std::vector<Entry>>> local(
-      std::max<size_t>(group_parts, 1));
-  std::vector<Status> group_status(local.size(), Status::OK());
-  {
-    ThreadPool::WaitGroup group(parallel.pool);
-    for (size_t p = 0; p < group_parts; ++p) {
-      group.Submit([&, p]() {
-        Status crash = CrashPoints::Check("builder.parallel.group");
-        if (!crash.ok()) {
-          group_status[p] = std::move(crash);
-          return;
-        }
-        const size_t begin = batches.size() * p / group_parts;
-        const size_t end = batches.size() * (p + 1) / group_parts;
-        auto& mine = local[p];
-        for (size_t b = begin; b < end; ++b) {
-          const DayBatch* batch = batches[b];
-          for (const Record& record : batch->records) {
-            for (size_t i = 0; i < record.values.size(); ++i) {
-              mine[record.values[i]].push_back(
-                  Entry{record.record_id, batch->day, record.AuxFor(i)});
-            }
-          }
-        }
-      });
-    }
-    group.Wait();
-  }
-  for (Status& status : group_status) {
-    WAVEKIT_RETURN_NOT_OK(status);
-  }
-
-  std::set<Value> distinct;
-  for (const auto& m : local) {
-    for (const auto& [value, entries] : m) distinct.insert(value);
-  }
-  const std::vector<Value> values(distinct.begin(), distinct.end());
-
-  // Stage 2: merge + encode per value-range partition. Each task owns a
-  // disjoint slice of `buckets`, so no synchronization is needed.
-  std::vector<CodecBuildBucket> buckets(values.size());
-  const size_t value_parts = parallel.Partitions(values.size());
-  {
-    ThreadPool::WaitGroup group(parallel.pool);
-    for (size_t p = 0; p < value_parts; ++p) {
-      group.Submit([&, p]() {
-        const size_t vbegin = values.size() * p / value_parts;
-        const size_t vend = values.size() * (p + 1) / value_parts;
-        for (size_t i = vbegin; i < vend; ++i) {
-          auto& bucket = buckets[i];
-          for (const auto& m : local) {
-            auto it = m.find(values[i]);
-            if (it == m.end()) continue;
-            bucket.entries.insert(bucket.entries.end(), it->second.begin(),
-                                  it->second.end());
-          }
-          EncodeForBuild(options.codec, &bucket);
-        }
-      });
-    }
-    group.Wait();
-  }
-
-  // Serial layout: running sums of the encoded sizes.
-  std::vector<uint64_t> bucket_starts(values.size(), 0);
-  uint64_t total_bytes = 0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    bucket_starts[i] = total_bytes;
-    total_bytes += buckets[i].stored;
-  }
-  WAVEKIT_ASSIGN_OR_RETURN(Extent region, allocator->Allocate(total_bytes));
-
-  // Stage 3: batched writes of the encoded buckets, partitions covering
-  // disjoint precomputed regions (same all-or-nothing rule as the raw path).
-  std::vector<Status> write_status(std::max<size_t>(value_parts, 1),
-                                   Status::OK());
-  {
-    ThreadPool::WaitGroup group(parallel.pool);
-    for (size_t p = 0; p < value_parts; ++p) {
-      group.Submit([&, p]() {
-        Status status = CrashPoints::Check("builder.parallel.write");
-        if (!status.ok()) {
-          write_status[p] = std::move(status);
-          return;
-        }
-        const size_t vbegin = values.size() * p / value_parts;
-        const size_t vend = values.size() * (p + 1) / value_parts;
-        std::vector<Extent> extents;
-        std::vector<std::byte> buffer;
-        auto flush = [&]() -> Status {
-          if (extents.empty()) return Status::OK();
-          Status written = device->WriteBatch(extents, buffer);
-          extents.clear();
-          buffer.clear();
-          return written;
-        };
-        for (size_t i = vbegin; i < vend; ++i) {
-          const CodecBuildBucket& bucket = buckets[i];
-          extents.push_back(
-              Extent{region.offset + bucket_starts[i], bucket.stored});
-          buffer.insert(buffer.end(), bucket.bytes(),
-                        bucket.bytes() + bucket.stored);
-          if (buffer.size() >= IndexBuilder::kWriteChunkBytes) {
-            status = flush();
-            if (!status.ok()) break;
-          }
-        }
-        if (status.ok()) status = flush();
-        write_status[p] = std::move(status);
-      });
-    }
-    group.Wait();
-  }
-  Status failed = Status::OK();
-  for (Status& status : write_status) {
-    if (!status.ok() && failed.ok()) failed = std::move(status);
-  }
-  if (!failed.ok()) {
-    (void)allocator->Free(region);
-    return failed;
-  }
-
-  // Stage 4: serial metadata install in layout order.
-  for (size_t i = 0; i < values.size(); ++i) {
-    WAVEKIT_RETURN_NOT_OK(InstallCodecBucket(
-        index.get(), values[i], region.offset + bucket_starts[i], buckets[i]));
-  }
-
-  for (const DayBatch* batch : batches) {
-    index->mutable_time_set().insert(batch->day);
-  }
-  index->set_packed(true);
-  return index;
+  });
+  return buckets;
 }
 
 }  // namespace
+
+Status IndexBuilder::WritePacked(ConstituentIndex* index,
+                                 const PackedBuckets& buckets,
+                                 const ParallelContext& parallel,
+                                 std::string_view crash_point) {
+  Device* device = index->device();
+  ExtentAllocator* allocator = index->allocator();
+  const CodecMode mode = index->options().codec;
+  const size_t n = buckets.size();
+
+  // Encode every bucket. `infos[i].extent` is first the bucket's stored
+  // size, then its place in the region. At kRaw encoding returns at once
+  // and the stored bytes are the entries themselves.
+  std::vector<EncodedBucket> encoded(n);
+  std::vector<BucketInfo> infos(n);
+  ForEachSlice(parallel, n, [&](size_t, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const std::vector<Entry>& entries = buckets[i].second;
+      encoded[i] = EncodeBucket(entries.data(), entries.size(), mode);
+      const uint32_t count = static_cast<uint32_t>(entries.size());
+      infos[i] = BucketInfo{Extent{0, encoded[i].stored_length(count)},
+                            count, count, /*crc=*/0, encoded[i].codec};
+    }
+  });
+  // Returns bucket i's stored bytes and sets its checksum over them. Called
+  // as the bucket is written, while those bytes are in cache.
+  auto checksummed_bytes = [&](size_t i) {
+    const std::byte* bytes =
+        encoded[i].codec == Codec::kRaw
+            ? reinterpret_cast<const std::byte*>(buckets[i].second.data())
+            : encoded[i].bytes.data();
+    infos[i].crc = Crc32c(bytes, infos[i].extent.length);
+    return std::span<const std::byte>(
+        bytes, static_cast<size_t>(infos[i].extent.length));
+  };
+
+  // Layout: the buckets back to back, in order, in one region.
+  uint64_t total_bytes = 0;
+  for (BucketInfo& info : infos) {
+    info.extent.offset = total_bytes;
+    total_bytes += info.extent.length;
+  }
+  WAVEKIT_ASSIGN_OR_RETURN(Extent region, allocator->Allocate(total_bytes));
+  for (BucketInfo& info : infos) info.extent.offset += region.offset;
+
+  Status written;
+  if (!parallel.enabled()) {
+    for (size_t i = 0; i < n && written.ok(); ++i) {
+      written = device->Write(infos[i].extent.offset, checksummed_bytes(i));
+    }
+  } else {
+    // The partitions cover disjoint slices of the region, so their writes
+    // never overlap.
+    std::vector<Status> write_status(parallel.Partitions(n));
+    ForEachSlice(parallel, n, [&](size_t p, size_t begin, size_t end) {
+      Status status = CrashPoints::Check(crash_point);
+      std::vector<Extent> extents;
+      std::vector<std::byte> buffer;
+      auto flush = [&]() -> Status {
+        if (extents.empty()) return Status::OK();
+        Status flushed = device->WriteBatch(extents, buffer);
+        extents.clear();
+        buffer.clear();
+        return flushed;
+      };
+      for (size_t i = begin; i < end && status.ok(); ++i) {
+        const std::span<const std::byte> bytes = checksummed_bytes(i);
+        extents.push_back(infos[i].extent);
+        buffer.insert(buffer.end(), bytes.begin(), bytes.end());
+        if (buffer.size() >= kWriteChunkBytes) status = flush();
+      }
+      if (status.ok()) status = flush();
+      write_status[p] = std::move(status);
+    });
+    written = FirstError(write_status);
+  }
+  if (!written.ok()) {
+    // Nothing is installed yet: the whole region goes back, and a retry
+    // starts clean.
+    (void)allocator->Free(region);
+    return written;
+  }
+
+  for (size_t i = 0; i < n; ++i) {
+    Status installed = index->InstallBucket(buckets[i].first, infos[i]);
+    if (!installed.ok()) {
+      // The installed prefix is the index's to free; the rest is ours.
+      (void)allocator->Free(Extent{infos[i].extent.offset,
+                                   region.end() - infos[i].extent.offset});
+      return installed;
+    }
+  }
+  return Status::OK();
+}
 
 Result<std::unique_ptr<ConstituentIndex>> IndexBuilder::BuildPacked(
     Device* device, ExtentAllocator* allocator,
     ConstituentIndex::Options options,
     std::span<const DayBatch* const> batches, std::string name,
     const ParallelContext& parallel) {
-  if (options.codec != CodecMode::kRaw) {
-    if (!parallel.enabled()) {
-      return BuildPackedSerialCodec(device, allocator, options, batches,
-                                    std::move(name));
-    }
-    return BuildPackedParallelCodec(device, allocator, options, batches,
-                                    std::move(name), parallel);
+  auto index = std::make_unique<ConstituentIndex>(device, allocator, options,
+                                                  std::move(name));
+  std::vector<GroupMap> groups;
+  WAVEKIT_ASSIGN_OR_RETURN(PackedBuckets buckets,
+                           GroupBatches(batches, parallel, &groups));
+  WAVEKIT_RETURN_NOT_OK(WritePacked(index.get(), buckets, parallel,
+                                    "builder.parallel.write"));
+  for (const DayBatch* batch : batches) {
+    index->mutable_time_set().insert(batch->day);
   }
-  if (!parallel.enabled()) {
-    return BuildPackedSerial(device, allocator, options, batches,
-                             std::move(name));
-  }
-  return BuildPackedParallel(device, allocator, options, batches,
-                             std::move(name), parallel);
+  index->set_packed(true);
+  return index;
 }
 
 Result<std::unique_ptr<ConstituentIndex>> IndexBuilder::BuildPacked(

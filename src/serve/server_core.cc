@@ -200,6 +200,15 @@ void ServerCore::ServeProbe(Tenant* tenant, const Frame& frame,
   QueryReply reply;
   status = tenant->service->TimedIndexProbe(request.range, request.value,
                                             &reply.entries, &reply.stats);
+  // The reply must fit one frame, however many entries the value has.
+  if (reply.entries.size() > kMaxReplyEntries) {
+    reply.entries.resize(kMaxReplyEntries);
+    if (status.ok()) {
+      status = Status::PartialResult("probe truncated at " +
+                                     std::to_string(kMaxReplyEntries) +
+                                     " entries");
+    }
+  }
   // kPartialResult still carries the entries degraded serving could
   // assemble; anything else carries no body.
   reply.result = ToWireResult(status);

@@ -1,18 +1,21 @@
 // ShardedCachedDevice: a thread-safe, lock-striped LRU block cache.
 //
-// The single-threaded CachedDevice funnels every probe through one LRU; with
-// many reader threads probing one WaveService (wave/wave_service.h) that
-// would re-serialize exactly the I/O the paper says needs no concurrency
-// control. Here the block space is striped over N independent shards keyed by
-// block_id % N — each with its own mutex, LRU list, and stats — so concurrent
-// probes of distinct hot buckets touch distinct locks and proceed in
-// parallel. Zipfian workloads concentrate on few hot buckets, but hot BLOCKS
-// of different buckets land in different shards, which is what matters.
+// The paper leans on memory caching twice: batch updates "lead to better
+// performance, mainly due to memory caching" (Section 2.1), and its Zipfian
+// query workloads concentrate probes on few hot buckets. One LRU behind one
+// lock would funnel every probe through that lock; with many reader threads
+// probing one WaveService (wave/wave_service.h) that would re-serialize
+// exactly the I/O the paper says needs no concurrency control. Here the
+// block space is striped over N independent shards keyed by block_id % N —
+// each with its own mutex, LRU list, and stats — so concurrent probes of
+// distinct hot buckets touch distinct locks and proceed in parallel. Zipfian
+// workloads concentrate on few hot buckets, but hot BLOCKS of different
+// buckets land in different shards, which is what matters.
 //
-// Like CachedDevice, place this ABOVE the MeteredDevice: hits never reach the
-// wrapped device, so modeled seek/transfer costs reflect only true disk
-// traffic. Writes are write-through under the shard lock, so readers of a
-// cached block always see either the full old or full new bytes of a block.
+// Place this ABOVE the MeteredDevice: hits never reach the wrapped device,
+// so modeled seek/transfer costs reflect only true disk traffic. Writes are
+// write-through under the shard lock, so readers of a cached block always
+// see either the full old or full new bytes of a block.
 
 #ifndef WAVEKIT_STORAGE_SHARDED_CACHED_DEVICE_H_
 #define WAVEKIT_STORAGE_SHARDED_CACHED_DEVICE_H_
@@ -24,10 +27,21 @@
 #include <unordered_map>
 #include <vector>
 
-#include "storage/cached_device.h"  // CacheStats
 #include "storage/device.h"
 
 namespace wavekit {
+
+/// \brief Cache effectiveness counters.
+struct CacheStats {
+  uint64_t hits = 0;      ///< Block reads served from cache.
+  uint64_t misses = 0;    ///< Block reads that went to the device.
+  uint64_t evictions = 0; ///< Blocks evicted to make room.
+
+  double HitRatio() const {
+    const uint64_t total = hits + misses;
+    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
+  }
+};
 
 /// \brief Thread-safe fixed-capacity LRU block cache over a Device, striped
 /// into independently locked shards.
@@ -41,8 +55,8 @@ namespace wavekit {
 class ShardedCachedDevice : public Device {
  public:
   /// `inner` must outlive this object. `capacity_blocks` > 0; `block_size`
-  /// defaults to 4 KiB; `num_shards` is clamped to >= 1 (use 1 to recover
-  /// exact CachedDevice behaviour plus a lock).
+  /// defaults to 4 KiB; `num_shards` is clamped to >= 1 (1 is a plain LRU
+  /// behind one lock).
   ShardedCachedDevice(Device* inner, size_t capacity_blocks,
                       uint64_t block_size = 4096, size_t num_shards = 16);
 

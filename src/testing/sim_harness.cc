@@ -99,7 +99,7 @@ struct Incarnation {
 };
 
 Status CheckInvariants(const Scheme& scheme, const Scenario& scenario,
-                       Day day) {
+                       Day day, const ExtentAllocator& allocator) {
   const WaveIndex& wave = scheme.wave();
   const int window = scenario.window;
   const size_t n = wave.num_constituents();
@@ -137,6 +137,15 @@ Status CheckInvariants(const Scheme& scheme, const Scenario& scenario,
           std::to_string(day));
     }
   }
+  // Every allocated byte belongs to a live constituent or temporary: a
+  // failed (and retried) maintenance step must free what it allocated.
+  const uint64_t owned = scheme.ConstituentBytes() + scheme.TemporaryBytes();
+  if (allocator.allocated_bytes() != owned) {
+    return Status::Internal(
+        "allocator holds " + std::to_string(allocator.allocated_bytes()) +
+        " bytes but the scheme owns " + std::to_string(owned) + " at day " +
+        std::to_string(day));
+  }
   return Status::OK();
 }
 
@@ -164,9 +173,9 @@ Status CheckCheckpointRoundTrip(const WaveIndex& wave, Device* device,
 // Cross-checks every planned probe and a full-window scan against the
 // oracle, plus the structural invariants and the checkpoint round-trip.
 // Appends one deterministic trace line on success.
-Status VerifyDay(const Scheme& scheme, const Scenario& scenario, Day day,
-                 const OracleDB& oracle, Device* raw_device,
-                 std::string* trace) {
+Status VerifyDay(const Scheme& scheme, const ExtentAllocator& allocator,
+                 const Scenario& scenario, Day day, const OracleDB& oracle,
+                 Device* raw_device, std::string* trace) {
   const WaveIndex& wave = scheme.wave();
   const DayRange window = DayRange::Window(day, scenario.window);
 
@@ -222,7 +231,7 @@ Status VerifyDay(const Scheme& scheme, const Scenario& scenario, Day day,
     }
   }
 
-  WAVEKIT_RETURN_NOT_OK(CheckInvariants(scheme, scenario, day));
+  WAVEKIT_RETURN_NOT_OK(CheckInvariants(scheme, scenario, day, allocator));
 
   uint32_t ckpt_crc = 0;
   WAVEKIT_RETURN_NOT_OK(CheckCheckpointRoundTrip(
@@ -492,7 +501,7 @@ Status RunScenarioImpl(SchemeKind kind, const Scenario& scenario,
   for (Day d = 1; d <= static_cast<Day>(window); ++d) {
     oracle.AdvanceDay(MakeScenarioDay(scenario, d), window);
   }
-  WAVEKIT_RETURN_NOT_OK(VerifyDay(*inc->scheme, scenario,
+  WAVEKIT_RETURN_NOT_OK(VerifyDay(*inc->scheme, inc->allocator, scenario,
                                   static_cast<Day>(window), oracle, &memory,
                                   trace));
   clock.Advance(EpisodeTelemetry::kDayMicros);
@@ -554,7 +563,8 @@ Status RunScenarioImpl(SchemeKind kind, const Scenario& scenario,
                                         trace));
       }
       WAVEKIT_RETURN_NOT_OK(
-          VerifyDay(*inc->scheme, scenario, day, oracle, &memory, trace));
+          VerifyDay(*inc->scheme, inc->allocator, scenario, day, oracle,
+                    &memory, trace));
       // One simulated day elapsed: the collector's clock-driven Tick takes
       // exactly one sample.
       clock.Advance(EpisodeTelemetry::kDayMicros);
@@ -627,7 +637,7 @@ Status RunScenarioImpl(SchemeKind kind, const Scenario& scenario,
         std::make_unique<DurableMaintenance>(inc->scheme.get(), paths);
 
     // The recovered wave must already answer exactly like the oracle.
-    WAVEKIT_RETURN_NOT_OK(VerifyDay(*inc->scheme, scenario,
+    WAVEKIT_RETURN_NOT_OK(VerifyDay(*inc->scheme, inc->allocator, scenario,
                                     state.current_day, oracle, &memory,
                                     trace));
 

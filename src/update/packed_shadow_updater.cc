@@ -6,8 +6,6 @@
 #include "index/index_builder.h"
 #include "update/in_place_updater.h"
 #include "update/simple_shadow_updater.h"
-#include "util/crash_point.h"
-#include "util/crc32c.h"
 #include "util/macros.h"
 
 namespace wavekit {
@@ -42,9 +40,8 @@ Status PackedShadowUpdater::Apply(std::shared_ptr<ConstituentIndex>* index,
 
   // Step 2a: scan the old index once, dropping expired entries, and learn
   // the exact size of every surviving bucket.
-  std::vector<std::pair<Value, std::vector<Entry>>> merged;
+  PackedBuckets merged;
   merged.reserve(old_index->layout_order().size() + insert_entries.size());
-  uint64_t total_entries = 0;
   {
     std::unordered_map<Value, size_t> slot_of;
     Status scan_status = old_index->Scan([&](const Value& value,
@@ -53,7 +50,6 @@ Status PackedShadowUpdater::Apply(std::shared_ptr<ConstituentIndex>* index,
       auto [it, inserted] = slot_of.emplace(value, merged.size());
       if (inserted) merged.emplace_back(value, std::vector<Entry>{});
       merged[it->second].second.push_back(e);
-      ++total_entries;
     });
     WAVEKIT_RETURN_NOT_OK(scan_status);
     // Append the inserts for surviving values into their buckets.
@@ -61,7 +57,6 @@ Status PackedShadowUpdater::Apply(std::shared_ptr<ConstituentIndex>* index,
       auto it = insert_entries.find(value);
       if (it == insert_entries.end()) continue;
       entries.insert(entries.end(), it->second.begin(), it->second.end());
-      total_entries += it->second.size();
       insert_entries.erase(it);
     }
   }
@@ -71,242 +66,17 @@ Status PackedShadowUpdater::Apply(std::shared_ptr<ConstituentIndex>* index,
     for (const Value& value : temp->layout_order()) {
       auto it = insert_entries.find(value);
       if (it == insert_entries.end()) continue;  // already merged above
-      total_entries += it->second.size();
       merged.emplace_back(value, std::move(it->second));
     }
   }
 
-  // Step 2b/3b: flush the packed result to one contiguous region.
+  // Step 2b/3b: write the packed result to one contiguous region.
   auto packed = std::make_shared<ConstituentIndex>(device, allocator, options,
                                                    old_index->name());
-  if (options.codec != CodecMode::kRaw) {
-    return FlushMergedCodec(device, allocator, options, merged,
-                            std::move(packed), old_index, adds, deletes, temp,
-                            index);
-  }
-  WAVEKIT_ASSIGN_OR_RETURN(Extent region,
-                           allocator->Allocate(total_entries * kEntrySize));
-  if (!parallel_.enabled()) {
-    // Serial flush, kept verbatim: one sequential Write per bucket is the op
-    // sequence the cost model meters.
-    uint64_t cursor = region.offset;
-    for (const auto& [value, entries] : merged) {
-      if (entries.empty()) continue;
-      const uint64_t length = entries.size() * kEntrySize;
-      auto* bytes = reinterpret_cast<const std::byte*>(entries.data());
-      WAVEKIT_RETURN_NOT_OK(
-          device->Write(cursor, std::span<const std::byte>(bytes, length)));
-      WAVEKIT_RETURN_NOT_OK(packed->InstallBucket(
-          value, Extent{cursor, length}, static_cast<uint32_t>(entries.size()),
-          static_cast<uint32_t>(entries.size()), Crc32c(bytes, length)));
-      cursor += length;
-    }
-  } else {
-    // Parallel flush: the merged layout is already fixed, so each task
-    // serializes a disjoint slice of buckets and writes it with ~1 MiB
-    // WriteBatch calls. Bytes and layout match the serial flush exactly.
-    std::vector<uint64_t> starts(merged.size(), 0);
-    uint64_t running = 0;
-    for (size_t i = 0; i < merged.size(); ++i) {
-      starts[i] = running;
-      running += merged[i].second.size() * kEntrySize;
-    }
-    const size_t parts = parallel_.Partitions(merged.size());
-    std::vector<Status> flush_status(std::max<size_t>(parts, 1), Status::OK());
-    {
-      ThreadPool::WaitGroup group(parallel_.pool);
-      for (size_t p = 0; p < parts; ++p) {
-        group.Submit([&, p]() {
-          Status status = CrashPoints::Check("updater.packed.parallel_flush");
-          if (!status.ok()) {
-            flush_status[p] = std::move(status);
-            return;
-          }
-          const size_t begin = merged.size() * p / parts;
-          const size_t end = merged.size() * (p + 1) / parts;
-          std::vector<Extent> extents;
-          std::vector<std::byte> buffer;
-          auto flush = [&]() -> Status {
-            if (extents.empty()) return Status::OK();
-            Status written = device->WriteBatch(extents, buffer);
-            extents.clear();
-            buffer.clear();
-            return written;
-          };
-          for (size_t i = begin; i < end; ++i) {
-            const auto& entries = merged[i].second;
-            if (entries.empty()) continue;
-            extents.push_back(Extent{region.offset + starts[i],
-                                     entries.size() * kEntrySize});
-            const auto* bytes =
-                reinterpret_cast<const std::byte*>(entries.data());
-            buffer.insert(buffer.end(), bytes,
-                          bytes + entries.size() * kEntrySize);
-            if (buffer.size() >= IndexBuilder::kWriteChunkBytes) {
-              status = flush();
-              if (!status.ok()) break;
-            }
-          }
-          if (status.ok()) status = flush();
-          flush_status[p] = std::move(status);
-        });
-      }
-      group.Wait();
-    }
-    for (Status& status : flush_status) {
-      if (!status.ok()) {
-        // No bucket was installed: return the whole region for a clean
-        // retry.
-        (void)allocator->Free(region);
-        return std::move(status);
-      }
-    }
-    for (size_t i = 0; i < merged.size(); ++i) {
-      const auto& [value, entries] = merged[i];
-      if (entries.empty()) continue;
-      const auto* bytes = reinterpret_cast<const std::byte*>(entries.data());
-      WAVEKIT_RETURN_NOT_OK(packed->InstallBucket(
-          value, Extent{region.offset + starts[i], entries.size() * kEntrySize},
-          static_cast<uint32_t>(entries.size()),
-          static_cast<uint32_t>(entries.size()),
-          Crc32c(bytes, entries.size() * kEntrySize)));
-    }
-  }
+  WAVEKIT_RETURN_NOT_OK(IndexBuilder::WritePacked(
+      packed.get(), merged, parallel_, "updater.packed.parallel_flush"));
 
   // Step 4: update the time-set and swap the new version in.
-  TimeSet time_set = old_index->time_set();
-  for (Day d : deletes) time_set.erase(d);
-  for (const DayBatch* batch : adds) time_set.insert(batch->day);
-  packed->mutable_time_set() = time_set;
-  packed->set_packed(true);
-  if (temp != nullptr) WAVEKIT_RETURN_NOT_OK(temp->Destroy());
-  *index = std::move(packed);
-  return Status::OK();
-}
-
-Status PackedShadowUpdater::FlushMergedCodec(
-    Device* device, ExtentAllocator* allocator,
-    const ConstituentIndex::Options& options,
-    const std::vector<std::pair<Value, std::vector<Entry>>>& merged,
-    std::shared_ptr<ConstituentIndex> packed, ConstituentIndex* old_index,
-    std::span<const DayBatch* const> adds, const TimeSet& deletes,
-    const std::shared_ptr<ConstituentIndex>& temp,
-    std::shared_ptr<ConstituentIndex>* index) {
-  // Encode first: encoding is a pure function of the merged entries, so the
-  // serial and parallel flushes emit byte-identical extents; only the I/O
-  // schedule differs.
-  struct Encoded {
-    EncodedBucket enc;
-    uint64_t stored = 0;
-    uint32_t crc = 0;
-  };
-  std::vector<Encoded> encoded(merged.size());
-  auto stored_bytes = [&](size_t i) -> const std::byte* {
-    return encoded[i].enc.codec == Codec::kRaw
-               ? reinterpret_cast<const std::byte*>(merged[i].second.data())
-               : encoded[i].enc.bytes.data();
-  };
-  auto encode_range = [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const auto& entries = merged[i].second;
-      if (entries.empty()) continue;
-      auto& e = encoded[i];
-      e.enc = EncodeBucket(entries.data(), entries.size(), options.codec);
-      e.stored = e.enc.stored_length(entries.size());
-      e.crc = Crc32c(stored_bytes(i), e.stored);
-    }
-  };
-  if (parallel_.enabled()) {
-    const size_t parts = parallel_.Partitions(merged.size());
-    ThreadPool::WaitGroup group(parallel_.pool);
-    for (size_t p = 0; p < parts; ++p) {
-      group.Submit([&, p]() {
-        encode_range(merged.size() * p / parts,
-                     merged.size() * (p + 1) / parts);
-      });
-    }
-    group.Wait();
-  } else {
-    encode_range(0, merged.size());
-  }
-
-  std::vector<uint64_t> starts(merged.size(), 0);
-  uint64_t total_bytes = 0;
-  for (size_t i = 0; i < merged.size(); ++i) {
-    starts[i] = total_bytes;
-    total_bytes += encoded[i].stored;
-  }
-  WAVEKIT_ASSIGN_OR_RETURN(Extent region, allocator->Allocate(total_bytes));
-
-  if (!parallel_.enabled()) {
-    // Serial flush: one sequential Write per bucket, same op shape as the
-    // raw serial flush.
-    for (size_t i = 0; i < merged.size(); ++i) {
-      if (merged[i].second.empty()) continue;
-      WAVEKIT_RETURN_NOT_OK(device->Write(
-          region.offset + starts[i],
-          std::span<const std::byte>(stored_bytes(i),
-                                     static_cast<size_t>(encoded[i].stored))));
-    }
-  } else {
-    const size_t parts = parallel_.Partitions(merged.size());
-    std::vector<Status> flush_status(std::max<size_t>(parts, 1), Status::OK());
-    {
-      ThreadPool::WaitGroup group(parallel_.pool);
-      for (size_t p = 0; p < parts; ++p) {
-        group.Submit([&, p]() {
-          Status status = CrashPoints::Check("updater.packed.parallel_flush");
-          if (!status.ok()) {
-            flush_status[p] = std::move(status);
-            return;
-          }
-          const size_t begin = merged.size() * p / parts;
-          const size_t end = merged.size() * (p + 1) / parts;
-          std::vector<Extent> extents;
-          std::vector<std::byte> buffer;
-          auto flush = [&]() -> Status {
-            if (extents.empty()) return Status::OK();
-            Status written = device->WriteBatch(extents, buffer);
-            extents.clear();
-            buffer.clear();
-            return written;
-          };
-          for (size_t i = begin; i < end; ++i) {
-            if (merged[i].second.empty()) continue;
-            extents.push_back(
-                Extent{region.offset + starts[i], encoded[i].stored});
-            buffer.insert(buffer.end(), stored_bytes(i),
-                          stored_bytes(i) + encoded[i].stored);
-            if (buffer.size() >= IndexBuilder::kWriteChunkBytes) {
-              status = flush();
-              if (!status.ok()) break;
-            }
-          }
-          if (status.ok()) status = flush();
-          flush_status[p] = std::move(status);
-        });
-      }
-      group.Wait();
-    }
-    for (Status& status : flush_status) {
-      if (!status.ok()) {
-        // No bucket was installed: return the whole region for a clean
-        // retry.
-        (void)allocator->Free(region);
-        return std::move(status);
-      }
-    }
-  }
-
-  for (size_t i = 0; i < merged.size(); ++i) {
-    const auto& [value, entries] = merged[i];
-    if (entries.empty()) continue;
-    const uint32_t n = static_cast<uint32_t>(entries.size());
-    WAVEKIT_RETURN_NOT_OK(packed->InstallBucket(
-        value, BucketInfo{Extent{region.offset + starts[i], encoded[i].stored},
-                          n, n, encoded[i].crc, encoded[i].enc.codec}));
-  }
-
   TimeSet time_set = old_index->time_set();
   for (Day d : deletes) time_set.erase(d);
   for (const DayBatch* batch : adds) time_set.insert(batch->day);

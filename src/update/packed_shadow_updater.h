@@ -3,9 +3,6 @@
 #ifndef WAVEKIT_UPDATE_PACKED_SHADOW_UPDATER_H_
 #define WAVEKIT_UPDATE_PACKED_SHADOW_UPDATER_H_
 
-#include <utility>
-#include <vector>
-
 #include "update/update_technique.h"
 
 namespace wavekit {
@@ -19,7 +16,9 @@ namespace wavekit {
 /// appending its buckets into the reserved room (values not present in the
 /// old index get fresh buckets after the last old bucket); (4) swap the new
 /// index in. The result is packed, so subsequent SegmentScans are a single
-/// sequential sweep.
+/// sequential sweep. Steps 2 and 3 end in IndexBuilder::WritePacked, the
+/// writer packed builds use, so a failed write frees the new region and
+/// leaves the old index serving.
 class PackedShadowUpdater : public Updater {
  public:
   UpdateTechniqueKind kind() const override {
@@ -28,21 +27,6 @@ class PackedShadowUpdater : public Updater {
   Status Apply(std::shared_ptr<ConstituentIndex>* index,
                std::span<const DayBatch* const> adds,
                const TimeSet& deletes) override;
-
- private:
-  /// Flush tail for codec-enabled indexes: the merged layout is fixed, but
-  /// bucket offsets depend on the *encoded* sizes, so every surviving bucket
-  /// is encoded (in parallel when enabled) before the region is sized, then
-  /// written and installed with its codec. Finishes the update (time-set,
-  /// temp teardown, swap) like the raw flush does.
-  Status FlushMergedCodec(
-      Device* device, ExtentAllocator* allocator,
-      const ConstituentIndex::Options& options,
-      const std::vector<std::pair<Value, std::vector<Entry>>>& merged,
-      std::shared_ptr<ConstituentIndex> packed, ConstituentIndex* old_index,
-      std::span<const DayBatch* const> adds, const TimeSet& deletes,
-      const std::shared_ptr<ConstituentIndex>& temp,
-      std::shared_ptr<ConstituentIndex>* index);
 };
 
 }  // namespace wavekit

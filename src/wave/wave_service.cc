@@ -32,9 +32,8 @@ WaveService::WaveService(Options options, std::unique_ptr<Device> base_device)
     latency_->set_phase_source(&device_);
   }
   if (options_.cache_blocks > 0) {
-    cache_ = std::make_unique<ShardedCachedDevice>(
-        &device_, options_.cache_blocks, options_.cache_block_size,
-        options_.cache_shards);
+    cache_ = std::make_unique<ShardedCachedDevice>(&device_,
+                                                   options_.cache_blocks);
   }
   if (options_.num_maintenance_threads > 1) {
     maintenance_pool_ = MakePool(options_.num_maintenance_threads, "maintenance");
@@ -502,8 +501,6 @@ Result<Scheme::HealReport> WaveService::Heal() {
 
 Result<ScrubReport> WaveService::ScrubLocked() {
   ScrubOptions scrub;
-  scrub.io_batch_bytes = options_.scrub_io_batch_bytes;
-  scrub.pause_us_per_batch = options_.scrub_pause_us;
   scrub.clock = clock_;
   scrub.events = events_.get();
   scrub.integrity = &integrity_;

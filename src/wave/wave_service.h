@@ -149,12 +149,11 @@ class WaveService {
     int num_maintenance_threads = 1;
 
     /// When > 0, constituent I/O goes through a lock-striped block cache of
-    /// this many blocks layered above the meter, so hot-bucket hits cost no
-    /// modeled seeks and concurrent probes of distinct buckets do not
-    /// contend. 0 disables caching.
+    /// this many 4 KiB blocks in 16 shards (ShardedCachedDevice's defaults)
+    /// layered above the meter, so hot-bucket hits cost no modeled seeks and
+    /// concurrent probes of distinct buckets do not contend. 0 disables
+    /// caching.
     size_t cache_blocks = 0;
-    uint64_t cache_block_size = 4096;
-    size_t cache_shards = 16;
 
     /// When set, the service registers all of its observability — device
     /// phase counters, cache shard stats, pool depth, and the service
@@ -198,15 +197,9 @@ class WaveService {
     /// microseconds have passed since the last pass. Corruption quarantines
     /// the constituent (degraded serving, queries keep answering) and — with
     /// auto_heal — is repaired online immediately. 0 disables periodic
-    /// scrubbing; Scrub() always works.
+    /// scrubbing; Scrub() always works. A pass reads 1 MiB per batch with
+    /// no pause between batches (ScrubOptions' defaults).
     uint64_t scrub_interval_us = 0;
-
-    /// Max bytes per scrub read batch (bounds the scrubber's I/O burst).
-    uint64_t scrub_io_batch_bytes = uint64_t{1} << 20;
-
-    /// Injected-clock sleep between scrub batches (rate limiting:
-    /// scrub_io_batch_bytes per pause).
-    uint64_t scrub_pause_us = 0;
 
     /// When true, any scrub (periodic or manual) that quarantined
     /// constituents immediately rebuilds them from segment data and

@@ -187,9 +187,11 @@ TEST_F(IntegrityTest, InstallBucketWithWrongCrcIsCaughtOnFirstRead) {
       std::span(reinterpret_cast<const std::byte*>(entries.data()),
                 static_cast<size_t>(bytes))));
   const uint32_t good = Crc32c(entries.data(), static_cast<size_t>(bytes));
-  ASSERT_OK(index->InstallBucket("installed", Extent{extent.offset, 2 * bytes},
-                                 entries.size(), 2 * entries.size(),
-                                 good ^ 0x00000100u));
+  ASSERT_OK(index->InstallBucket(
+      "installed", BucketInfo{Extent{extent.offset, 2 * bytes},
+                              static_cast<uint32_t>(entries.size()),
+                              static_cast<uint32_t>(2 * entries.size()),
+                              good ^ 0x00000100u}));
 
   std::vector<Entry> out;
   Status status = index->Probe("installed", &out);

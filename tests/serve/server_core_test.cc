@@ -18,6 +18,7 @@ namespace wavekit {
 namespace serve {
 namespace {
 
+using wavekit::testing::MakeBatch;
 using wavekit::testing::MakeMixedBatch;
 
 constexpr int kWindow = 3;
@@ -187,6 +188,36 @@ TEST(ServerCoreTest, UncappedScanReplyFitsOneFrame) {
   QueryReply decoded;
   ASSERT_OK(DecodeQueryReply(reply.payload, &decoded));
   EXPECT_EQ(decoded.result.code, StatusCode::kPartialResult);
+  EXPECT_EQ(decoded.entries.size(), kMaxReplyEntries);
+}
+
+TEST(ServerCoreTest, UncappedProbeReplyFitsOneFrame) {
+  // Tenant 1 holds one value with more entries than one reply frame can
+  // carry.
+  WaveService::Options options;
+  options.scheme = SchemeKind::kDel;
+  options.config.window = 1;
+  options.config.num_indexes = 1;
+  options.config.technique = UpdateTechniqueKind::kSimpleShadow;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<WaveService> big,
+                       WaveService::Create(std::move(options)));
+  std::vector<DayBatch> first;
+  first.push_back(MakeBatch(1, {"hot"}, kMaxReplyEntries + 1000));
+  ASSERT_OK(big->Start(std::move(first)));
+  TestServer server;
+  ASSERT_OK(server.core.AddTenant(1, std::move(big)));
+
+  ProbeRequest request;
+  request.range = DayRange::All();
+  request.value = "hot";
+  // Serve reads the reply with a default FrameReader, as every client does.
+  const Frame reply = Serve(&server, EncodeProbeRequest(1, 1, request));
+  QueryReply decoded;
+  ASSERT_OK(DecodeQueryReply(reply.payload, &decoded));
+  EXPECT_EQ(decoded.result.code, StatusCode::kPartialResult);
+  EXPECT_EQ(decoded.result.detail,
+            "probe truncated at " + std::to_string(kMaxReplyEntries) +
+                " entries");
   EXPECT_EQ(decoded.entries.size(), kMaxReplyEntries);
 }
 

@@ -30,6 +30,13 @@ struct BackendVariant {
   const char* label;  // test-suffix-safe name
 };
 
+// gtest lists a parameter next to each test name. Without this it would dump
+// the struct's bytes, whose string pointers change with every link, and so
+// would the ctest names.
+void PrintTo(const BackendVariant& variant, std::ostream* os) {
+  *os << variant.label;
+}
+
 const BackendVariant kVariants[] = {
     {"memory", false, "memory"},
     {"file", false, "file"},

@@ -62,6 +62,34 @@ TEST_F(ShardedCachedDeviceTest, HitsDoNotTouchTheMeteredDevice) {
       << "cached reads must not be charged as disk traffic";
 }
 
+TEST_F(ShardedCachedDeviceTest, ReadsSpanningBlocks) {
+  ShardedCachedDevice one_shard(&metered_, /*capacity_blocks=*/4,
+                                /*block_size=*/64, /*num_shards=*/1);
+  std::string long_data(200, 'x');
+  for (size_t i = 0; i < long_data.size(); ++i) {
+    long_data[i] = static_cast<char>('a' + i % 26);
+  }
+  ASSERT_OK(one_shard.Write(30, Bytes(long_data)));
+  std::vector<std::byte> out(200);
+  ASSERT_OK(one_shard.Read(30, out));
+  EXPECT_EQ(AsString(out), long_data);
+}
+
+TEST_F(ShardedCachedDeviceTest, LruOrderUpdatedOnHit) {
+  ShardedCachedDevice one_shard(&metered_, /*capacity_blocks=*/4,
+                                /*block_size=*/64, /*num_shards=*/1);
+  std::vector<std::byte> buf(1);
+  for (uint64_t b = 0; b < 4; ++b) ASSERT_OK(one_shard.Read(b * 64, buf));
+  // Touch block 0 so block 1 becomes LRU, then overflow.
+  ASSERT_OK(one_shard.Read(0, buf));
+  ASSERT_OK(one_shard.Read(4 * 64, buf));  // evicts block 1
+  const uint64_t misses_before = one_shard.stats().misses;
+  ASSERT_OK(one_shard.Read(0, buf));  // still cached
+  EXPECT_EQ(one_shard.stats().misses, misses_before);
+  ASSERT_OK(one_shard.Read(1 * 64, buf));  // was evicted
+  EXPECT_EQ(one_shard.stats().misses, misses_before + 1);
+}
+
 TEST_F(ShardedCachedDeviceTest, BlocksDistributeAcrossShards) {
   std::vector<std::byte> buf(1);
   // Touch 16 consecutive blocks: block_id % 4 striping puts exactly 4 in

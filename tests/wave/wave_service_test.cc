@@ -127,8 +127,6 @@ TEST(WaveServiceTest, ParallelProbeWithCacheMatchesSerial) {
   WaveService::Options uncached = ServiceOptions(SchemeKind::kWata, 6, 3);
   WaveService::Options cached = uncached;
   cached.cache_blocks = 256;
-  cached.cache_block_size = 4096;
-  cached.cache_shards = 8;
   ASSERT_OK_AND_ASSIGN(auto a, WaveService::Create(uncached));
   ASSERT_OK_AND_ASSIGN(auto b, WaveService::Create(cached));
   ASSERT_NE(b->cache(), nullptr);
