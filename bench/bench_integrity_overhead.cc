@@ -148,7 +148,7 @@ void WriteJson(const Config& config, const Variant& off, const Variant& on,
       << "  \"verified_buckets\": " << verified_buckets << ",\n"
       << "  \"trusted_buckets\": " << trusted_buckets << ",\n"
       << "  \"corruptions_detected\": "
-      << on.service->Metrics().corruptions_detected << "\n"
+      << on.service->integrity().corruptions_detected.load() << "\n"
       << "}\n";
 }
 
@@ -206,8 +206,8 @@ int main(int argc, char** argv) {
       OverheadPct(off.probes_per_sec(), on.probes_per_sec());
   const double scan_overhead =
       OverheadPct(off.scans_per_sec(), on.scans_per_sec());
-  const uint64_t verified = on.service->Metrics().checksum_verified_buckets;
-  const uint64_t trusted = on.service->Metrics().checksum_trusted_buckets;
+  const uint64_t verified = on.service->integrity().verified_buckets.load();
+  const uint64_t trusted = on.service->integrity().trusted_buckets.load();
 
   std::printf("\n%-12s %12s %12s %14s %12s\n", "variant", "probes",
               "probes/sec", "scans/sec", "entries/scan");
@@ -237,9 +237,9 @@ int main(int argc, char** argv) {
   checks.Check(trusted > 0,
                "steady-state reads were served from verified-resident cache "
                "bytes (trust-boundary skip engaged)");
-  checks.Check(off.service->Metrics().checksum_verified_buckets == 0,
+  checks.Check(off.service->integrity().verified_buckets.load() == 0,
                "non-verifying variant skipped checksum work entirely");
-  checks.Check(on.service->Metrics().corruptions_detected == 0,
+  checks.Check(on.service->integrity().corruptions_detected.load() == 0,
                "clean run detected no corruption (no false positives)");
   if (!config.smoke) {
     checks.Check(probe_overhead < 5.0,

@@ -70,11 +70,11 @@ int main() {
   stop.store(true);
   for (std::thread& t : readers) t.join();
 
-  const ServiceMetrics metrics = service->Metrics();
-  std::cout << "\nprobe latency: p50 = "
-            << metrics.probe_latency_us.Percentile(0.5) << " us, p99 = "
-            << metrics.probe_latency_us.Percentile(0.99) << " us over "
-            << FormatCount(metrics.probes) << " probes\n";
+  const WaveService::Instruments& metrics = service->instruments();
+  const Histogram probe_latency = metrics.probe_latency_us->Snapshot();
+  std::cout << "\nprobe latency: p50 = " << probe_latency.Percentile(0.5)
+            << " us, p99 = " << probe_latency.Percentile(0.99) << " us over "
+            << FormatCount(metrics.probes->value()) << " probes\n";
   std::cout << "total: " << FormatCount(queries.load())
             << " probes answered concurrently with 21 day transitions ("
             << FormatCount(results.load()) << " entries returned)\n"

@@ -18,6 +18,14 @@ inline int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+// Column deltas are taken and summed in uint64_t, which wraps where int64_t
+// arithmetic would overflow (far-apart record ids, hostile bytes). Wherever
+// the signed difference fits, the zigzag code is the same as signed
+// arithmetic's.
+inline uint64_t ZigZagDelta(uint64_t value, uint64_t prev) {
+  return ZigZag(static_cast<int64_t>(value - prev));
+}
+
 inline size_t VarintSize(uint64_t v) {
   size_t n = 1;
   while (v >= 0x80) {
@@ -186,34 +194,36 @@ void PackColumnWide(const uint64_t* deltas, size_t count, int width,
 // ---------------------------------------------------------------------------
 // kDelta: columnar zigzag-delta varints.
 
+// A day as the uint64_t its column deltas are taken in (sign-extended).
+inline uint64_t DayBits(Day day) {
+  return static_cast<uint64_t>(int64_t{day});
+}
+
 size_t DeltaSize(const Entry* entries, size_t count) {
   size_t total = 0;
-  int64_t prev_id = 0;
-  int64_t prev_day = 0;
+  uint64_t prev_id = 0;
+  uint64_t prev_day = 0;
   for (size_t i = 0; i < count; ++i) {
-    total += VarintSize(
-        ZigZag(static_cast<int64_t>(entries[i].record_id) - prev_id));
-    total += VarintSize(ZigZag(static_cast<int64_t>(entries[i].day) -
-                               prev_day));
+    total += VarintSize(ZigZagDelta(entries[i].record_id, prev_id));
+    total += VarintSize(ZigZagDelta(DayBits(entries[i].day), prev_day));
     total += VarintSize(entries[i].aux);
-    prev_id = static_cast<int64_t>(entries[i].record_id);
-    prev_day = entries[i].day;
+    prev_id = entries[i].record_id;
+    prev_day = DayBits(entries[i].day);
   }
   return total;
 }
 
 void DeltaEncode(const Entry* entries, size_t count,
                  std::vector<std::byte>* out) {
-  int64_t prev = 0;
+  uint64_t prev = 0;
   for (size_t i = 0; i < count; ++i) {
-    const int64_t id = static_cast<int64_t>(entries[i].record_id);
-    PutVarint(ZigZag(id - prev), out);
-    prev = id;
+    PutVarint(ZigZagDelta(entries[i].record_id, prev), out);
+    prev = entries[i].record_id;
   }
   prev = 0;
   for (size_t i = 0; i < count; ++i) {
-    PutVarint(ZigZag(entries[i].day - prev), out);
-    prev = entries[i].day;
+    PutVarint(ZigZagDelta(DayBits(entries[i].day), prev), out);
+    prev = DayBits(entries[i].day);
   }
   for (size_t i = 0; i < count; ++i) {
     PutVarint(entries[i].aux, out);
@@ -224,25 +234,26 @@ Status DeltaDecode(const std::byte* data, size_t size, size_t count,
                    Entry* out) {
   size_t at = 0;
   uint64_t v = 0;
-  int64_t prev = 0;
+  uint64_t prev = 0;
   for (size_t i = 0; i < count; ++i) {
     if (!GetVarint(data, size, &at, &v)) {
       return Status::DataLoss("codec: truncated delta record_id column");
     }
-    prev += UnZigZag(v);
-    out[i].record_id = static_cast<uint64_t>(prev);
+    prev += static_cast<uint64_t>(UnZigZag(v));
+    out[i].record_id = prev;
   }
   prev = 0;
   for (size_t i = 0; i < count; ++i) {
     if (!GetVarint(data, size, &at, &v)) {
       return Status::DataLoss("codec: truncated delta day column");
     }
-    prev += UnZigZag(v);
-    if (prev < std::numeric_limits<Day>::min() ||
-        prev > std::numeric_limits<Day>::max()) {
+    prev += static_cast<uint64_t>(UnZigZag(v));
+    const int64_t day = static_cast<int64_t>(prev);
+    if (day < std::numeric_limits<Day>::min() ||
+        day > std::numeric_limits<Day>::max()) {
       return Status::DataLoss("codec: delta day out of range");
     }
-    out[i].day = static_cast<Day>(prev);
+    out[i].day = static_cast<Day>(day);
   }
   for (size_t i = 0; i < count; ++i) {
     if (!GetVarint(data, size, &at, &v)) {

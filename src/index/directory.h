@@ -1,17 +1,15 @@
 // Directory: the in-memory search structure mapping values to buckets.
 //
 // The paper assumes "the directory is in memory, and the buckets are on
-// disk" and allows "e.g., a B+Tree or a hash table". wavekit provides both:
-// HashDirectory (unordered, O(1) lookups) and BTreeDirectory (ordered
-// iteration, range-friendly). Directory operations are never charged device
-// I/O.
+// disk" and allows "e.g., a B+Tree or a hash table"; no cost term depends on
+// which. wavekit uses a hash table. Directory operations are never charged
+// device I/O.
 
 #ifndef WAVEKIT_INDEX_DIRECTORY_H_
 #define WAVEKIT_INDEX_DIRECTORY_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
+#include <unordered_map>
 
 #include "index/codec.h"
 #include "index/entry.h"
@@ -56,50 +54,51 @@ struct BucketInfo {
   bool operator==(const BucketInfo& other) const = default;
 };
 
-/// \brief Which directory implementation an index uses.
-enum class DirectoryKind {
-  kHash,
-  kBTree,
-};
-
-const char* DirectoryKindName(DirectoryKind kind);
-
-/// \brief Abstract value -> BucketInfo map.
+/// \brief The in-memory value -> BucketInfo map of one constituent index: a
+/// hash table with O(1) expected lookup and unordered iteration.
 class Directory {
  public:
-  virtual ~Directory() = default;
-
-  virtual DirectoryKind kind() const = 0;
-
   /// Returns the bucket info for `value`, or nullptr if absent. The pointer
-  /// stays valid until the next mutation of the directory.
-  virtual BucketInfo* Find(const Value& value) = 0;
-  virtual const BucketInfo* Find(const Value& value) const = 0;
+  /// stays valid until `value` is removed.
+  BucketInfo* Find(const Value& value) {
+    auto it = map_.find(value);
+    return it == map_.end() ? nullptr : &it->second;
+  }
+  const BucketInfo* Find(const Value& value) const {
+    auto it = map_.find(value);
+    return it == map_.end() ? nullptr : &it->second;
+  }
 
   /// Inserts a new mapping. Fails with AlreadyExists if present.
-  virtual Status Insert(const Value& value, const BucketInfo& info) = 0;
+  Status Insert(const Value& value, const BucketInfo& info) {
+    if (!map_.emplace(value, info).second) {
+      return Status::AlreadyExists("directory already maps value '" + value +
+                                   "'");
+    }
+    return Status::OK();
+  }
 
   /// Removes a mapping. Fails with NotFound if absent.
-  virtual Status Remove(const Value& value) = 0;
+  Status Remove(const Value& value) {
+    if (map_.erase(value) == 0) {
+      return Status::NotFound("directory has no value '" + value + "'");
+    }
+    return Status::OK();
+  }
 
   /// Number of distinct values.
-  virtual size_t size() const = 0;
+  size_t size() const { return map_.size(); }
 
-  /// Visits every (value, bucket) pair. BTreeDirectory visits in ascending
-  /// value order; HashDirectory order is unspecified but stable between
-  /// mutations.
-  virtual void ForEach(
-      const std::function<void(const Value&, const BucketInfo&)>& fn) const = 0;
+  /// Visits every (value, bucket) pair, in an unspecified order that is
+  /// stable between mutations.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (const auto& [value, info] : map_) fn(value, info);
+  }
 
-  /// A fresh, empty directory of the same kind.
-  virtual std::unique_ptr<Directory> CloneEmpty() const = 0;
-
-  /// True iff ForEach visits values in sorted order.
-  virtual bool ordered() const = 0;
+ private:
+  std::unordered_map<Value, BucketInfo> map_;
 };
-
-/// Factory for the given kind.
-std::unique_ptr<Directory> MakeDirectory(DirectoryKind kind);
 
 }  // namespace wavekit
 

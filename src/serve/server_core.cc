@@ -282,15 +282,16 @@ void ServerCore::ServeAdvance(Tenant* tenant, const Frame& frame,
 
 void ServerCore::ServeStats(Tenant* tenant, const Frame& frame,
                             std::string* out) {
-  const ServiceMetrics metrics = tenant->service->Metrics();
+  const WaveService::Instruments& metrics = tenant->service->instruments();
   StatsReply reply;
-  reply.probes = metrics.probes;
-  reply.scans = metrics.scans;
-  reply.days_advanced = metrics.days_advanced;
-  reply.async_advances = metrics.async_advances;
-  reply.pending_advances = metrics.pending_advances;
-  reply.degraded_advances = metrics.degraded_advances;
-  reply.partial_results = metrics.partial_results;
+  reply.probes = metrics.probes->value();
+  reply.scans = metrics.scans->value();
+  reply.days_advanced = metrics.days_advanced->value();
+  reply.async_advances = metrics.async_advances->value();
+  reply.pending_advances =
+      static_cast<uint64_t>(tenant->service->pending_advances());
+  reply.degraded_advances = metrics.degraded_advances->value();
+  reply.partial_results = metrics.partial_results->value();
   reply.current_day = tenant->service->current_day();
   reply.degraded = tenant->service->degraded();
   out->append(EncodeStatsReply(frame.header, reply));

@@ -50,8 +50,7 @@ const char* SchemeKindName(SchemeKind kind) {
 Scheme::Scheme(SchemeEnv env, SchemeConfig config)
     : env_(env),
       config_(config),
-      updater_(MakeUpdater(config.technique)),
-      jitter_rng_(env.retry.jitter_seed) {
+      updater_(MakeUpdater(config.technique)) {
   if (updater_ != nullptr) updater_->set_parallel(env_.maintenance);
 }
 
@@ -179,20 +178,8 @@ Status Scheme::RetryTransient(std::string_view op,
                            {"attempt", std::to_string(attempt)}});
     }
     if (backoff_us > 0) {
-      uint64_t sleep_us = backoff_us;
-      if (env_.retry.decorrelated_jitter) {
-        // Decorrelated jitter [Brooker, "Exponential Backoff and Jitter"]:
-        // draw from [initial, 3 * previous sleep], capped. Desynchronizes
-        // concurrent retry streams; the seeded stream keeps runs replayable.
-        const uint64_t lo = std::max<uint64_t>(env_.retry.initial_backoff_us, 1);
-        const uint64_t hi = std::max(lo, std::min(env_.retry.max_backoff_us,
-                                                  backoff_us * 3));
-        sleep_us = static_cast<uint64_t>(jitter_rng_.UniformRange(
-            static_cast<int64_t>(lo), static_cast<int64_t>(hi)));
-        backoff_us = sleep_us;
-      } else {
-        backoff_us = std::min(env_.retry.max_backoff_us, backoff_us * 2);
-      }
+      const uint64_t sleep_us = backoff_us;
+      backoff_us = std::min(env_.retry.max_backoff_us, backoff_us * 2);
       if (env_.retry_backoff_us != nullptr) {
         env_.retry_backoff_us->Record(sleep_us);
       }
@@ -596,9 +583,8 @@ std::vector<TimeSet> Scheme::SplitWataWindow(int window, int num_indexes) {
 }
 
 ConstituentIndex::Options Scheme::IndexOptions() const {
-  return ConstituentIndex::Options{config_.directory, config_.growth,
-                                   config_.verify_checksums, env_.integrity,
-                                   config_.codec};
+  return ConstituentIndex::Options{config_.growth, config_.verify_checksums,
+                                   env_.integrity, config_.codec};
 }
 
 SchemeEnv::Disk Scheme::NextDisk(int placement_hint) {

@@ -24,7 +24,6 @@
 #include "obs/trace.h"
 #include "storage/metered_device.h"
 #include "util/clock.h"
-#include "util/random.h"
 #include "update/update_technique.h"
 #include "wave/day_store.h"
 #include "wave/op_log.h"
@@ -59,8 +58,6 @@ struct SchemeConfig {
   int num_indexes = 1;
   /// How constituent indexes are updated incrementally (Section 2.1).
   UpdateTechniqueKind technique = UpdateTechniqueKind::kSimpleShadow;
-  /// Directory implementation for every index.
-  DirectoryKind directory = DirectoryKind::kHash;
   /// CONTIGUOUS growth parameters [FJ92].
   GrowthPolicy growth;
   /// KB-WATA only: known upper bound on the total entries of any W-day
@@ -92,16 +89,6 @@ struct RetryPolicy {
   /// Sleep before the first retry; doubles (capped) for each further one.
   uint64_t initial_backoff_us = 100;
   uint64_t max_backoff_us = 10'000;
-  /// Opt-in decorrelated jitter: each sleep is drawn from
-  /// [initial_backoff_us, 3 * previous_sleep] (capped at max_backoff_us),
-  /// desynchronizing retry storms across concurrent maintenance streams.
-  /// Off by default so existing deterministic timing (plain doubling, exact
-  /// under SimClock) is preserved byte-for-byte.
-  bool decorrelated_jitter = false;
-  /// Seed for the jitter stream (only used when decorrelated_jitter): same
-  /// policy + same failure sequence = same sleeps, keeping even jittered
-  /// runs replayable.
-  uint64_t jitter_seed = 0x7E77;
 };
 
 /// \brief Counters of the retry/degradation machinery (relaxed-atomic
@@ -405,10 +392,6 @@ class Scheme {
   std::unique_ptr<Updater> updater_;
   bool started_ = false;
   bool needs_recovery_ = false;
-  /// Jitter stream for decorrelated retry backoff (seeded from
-  /// env_.retry.jitter_seed in the constructor; untouched unless
-  /// RetryPolicy::decorrelated_jitter is on).
-  Rng jitter_rng_{0};
 
   // Fault/retry counters (atomic: metrics callbacks read them from exporter
   // threads while the maintenance thread writes).

@@ -11,6 +11,11 @@ WaveService::WaveService(Options options, std::unique_ptr<Device> base_device)
     : options_(options),
       clock_(options_.clock != nullptr ? options_.clock
                                        : RealClock::Instance()),
+      owned_registry_(options_.metrics_registry == nullptr
+                          ? std::make_unique<obs::MetricsRegistry>()
+                          : nullptr),
+      registry_(options_.metrics_registry != nullptr ? options_.metrics_registry
+                                                     : owned_registry_.get()),
       base_device_(std::move(base_device)),
       interposed_(options_.device_interposer
                       ? options_.device_interposer(base_device_.get())
@@ -61,9 +66,7 @@ WaveService::WaveService(Options options, std::unique_ptr<Device> base_device)
     collector_options.clock = clock_;
     collector_ = std::make_unique<obs::TimeSeriesCollector>(collector_options);
   }
-  if (options_.metrics_registry != nullptr) {
-    RegisterMetrics();
-  }
+  RegisterMetrics();
   if (collector_ != nullptr && options_.collector_background_thread) {
     collector_->Start();
   }
@@ -82,11 +85,12 @@ uint64_t WaveService::MicrosSince(uint64_t start_us) const {
 }
 
 WaveService::~WaveService() {
+  // Queued async advances still count into the instruments: drain them
+  // before unregistering frees those.
+  advance_runner_.reset();
   // Stop the sampling thread before its callbacks' subjects start dying.
   if (collector_ != nullptr) collector_->Stop();
-  if (options_.metrics_registry != nullptr) {
-    options_.metrics_registry->Unregister(this);
-  }
+  registry_->Unregister(this);
 }
 
 std::string WaveService::degraded_detail() const {
@@ -109,7 +113,55 @@ void WaveService::SetDegraded(bool degraded, const std::string& detail,
 }
 
 void WaveService::RegisterMetrics() {
-  obs::MetricsRegistry* registry = options_.metrics_registry;
+  obs::MetricsRegistry* registry = registry_;
+  const auto counter = [&](const char* name, const char* help) {
+    return registry->AddCounter(name, help, {}, this);
+  };
+  const auto histogram = [&](const char* name, const char* help) {
+    return registry->AddHistogram(name, help, {}, this);
+  };
+  instruments_.probes =
+      counter("wavekit_service_probes_total", "Index probes served.");
+  instruments_.scans =
+      counter("wavekit_service_scans_total", "Segment scans served.");
+  instruments_.days_advanced =
+      counter("wavekit_service_days_advanced_total",
+              "Window transitions completed by AdvanceDay.");
+  instruments_.async_advances =
+      counter("wavekit_service_async_advances_total",
+              "Background transitions submitted via AdvanceDayAsync.");
+  instruments_.degraded_advances = counter(
+      "wavekit_service_degraded_advances_total",
+      "AdvanceDay calls that failed (service kept the last good snapshot).");
+  instruments_.partial_results = counter(
+      "wavekit_service_partial_results_total",
+      "Queries answered with a partial result (degraded-mode serving).");
+  instruments_.scrub_passes =
+      counter("wavekit_scrub_passes_total", "Completed background scrub passes.");
+  instruments_.scrub_extents =
+      counter("wavekit_scrub_extents_total",
+              "Live bucket extents verified by the background scrubber.");
+  instruments_.scrub_bytes =
+      counter("wavekit_scrub_bytes_total",
+              "Bytes re-read from the device by the background scrubber.");
+  instruments_.constituents_healed =
+      counter("wavekit_constituents_healed_total",
+              "Quarantined constituents rebuilt online from segment data.");
+  instruments_.heals_skipped = counter(
+      "wavekit_heals_skipped_total",
+      "Heal attempts skipped because the day store lacked the source days.");
+  instruments_.probe_latency_us =
+      histogram("wavekit_service_probe_latency_us",
+                "Wall-clock probe latency in microseconds.");
+  instruments_.scan_latency_us =
+      histogram("wavekit_service_scan_latency_us",
+                "Wall-clock scan latency in microseconds.");
+  instruments_.advance_latency_us =
+      histogram("wavekit_service_advance_latency_us",
+                "Wall-clock AdvanceDay latency in microseconds.");
+  instruments_.retry_backoff_us = histogram(
+      "wavekit_retry_backoff_us", "Retry backoff sleeps in microseconds.");
+
   obs::AttachMeteredDevice(
       registry, &device_, "primary",
       obs::BackendIdentity{options_.storage_backend, options_.direct_io},
@@ -125,20 +177,6 @@ void WaveService::RegisterMetrics() {
     obs::AttachThreadPool(registry, maintenance_pool_.get(),
                           "maintenance_pool", this);
   }
-  registry->AddCounterCallback(
-      "wavekit_service_probes_total", "Index probes served.", {},
-      [this] { return probes_.load(std::memory_order_relaxed); }, this);
-  registry->AddCounterCallback(
-      "wavekit_service_scans_total", "Segment scans served.", {},
-      [this] { return scans_.load(std::memory_order_relaxed); }, this);
-  registry->AddCounterCallback(
-      "wavekit_service_days_advanced_total",
-      "Window transitions completed by AdvanceDay.", {},
-      [this] { return days_advanced_.load(std::memory_order_relaxed); }, this);
-  registry->AddCounterCallback(
-      "wavekit_service_async_advances_total",
-      "Background transitions submitted via AdvanceDayAsync.", {},
-      [this] { return async_advances_.load(std::memory_order_relaxed); }, this);
   registry->AddGaugeCallback(
       "wavekit_service_pending_advances",
       "Async advances queued or running right now.", {},
@@ -146,17 +184,6 @@ void WaveService::RegisterMetrics() {
         return static_cast<double>(
             pending_advances_.load(std::memory_order_relaxed));
       },
-      this);
-  registry->AddCounterCallback(
-      "wavekit_service_degraded_advances_total",
-      "AdvanceDay calls that failed (service kept the last good snapshot).",
-      {},
-      [this] { return degraded_advances_.load(std::memory_order_relaxed); },
-      this);
-  registry->AddCounterCallback(
-      "wavekit_service_partial_results_total",
-      "Queries answered with a partial result (degraded-mode serving).", {},
-      [this] { return partial_results_.load(std::memory_order_relaxed); },
       this);
   // scheme_ is assigned after construction (Create), so guard the reads.
   registry->AddCounterCallback(
@@ -223,44 +250,21 @@ void WaveService::RegisterMetrics() {
         return integrity_.quarantines.load(std::memory_order_relaxed);
       },
       this);
-  registry->AddCounterCallback(
-      "wavekit_scrub_passes_total", "Completed background scrub passes.", {},
-      [this] { return scrub_passes_.load(std::memory_order_relaxed); }, this);
-  registry->AddCounterCallback(
-      "wavekit_scrub_extents_total",
-      "Live bucket extents verified by the background scrubber.", {},
-      [this] { return scrub_extents_.load(std::memory_order_relaxed); }, this);
-  registry->AddCounterCallback(
-      "wavekit_scrub_bytes_total",
-      "Bytes re-read from the device by the background scrubber.", {},
-      [this] { return scrub_bytes_.load(std::memory_order_relaxed); }, this);
-  registry->AddCounterCallback(
-      "wavekit_constituents_healed_total",
-      "Quarantined constituents rebuilt online from segment data.", {},
-      [this] { return constituents_healed_.load(std::memory_order_relaxed); },
-      this);
-  registry->AddCounterCallback(
-      "wavekit_heals_skipped_total",
-      "Heal attempts skipped because the day store lacked the source days.",
-      {},
-      [this] { return heals_skipped_.load(std::memory_order_relaxed); }, this);
-  registry->AddHistogramCallback(
-      "wavekit_retry_backoff_us",
-      "Retry backoff sleeps in microseconds.", {},
-      [this] { return retry_backoff_us_.Snapshot(); }, this);
   // The Prometheus-conventional seconds view of the same data (the integer
   // histogram itself records microseconds).
   registry->AddGaugeCallback(
       "wavekit_retry_backoff_seconds_sum",
       "Total seconds slept in retry backoff.", {},
       [this] {
-        return static_cast<double>(retry_backoff_us_.Snapshot().sum()) / 1e6;
+        return static_cast<double>(
+                   instruments_.retry_backoff_us->Snapshot().sum()) /
+               1e6;
       },
       this);
   registry->AddCounterCallback(
       "wavekit_retry_backoff_seconds_count",
       "Retry backoff sleeps recorded.", {},
-      [this] { return retry_backoff_us_.Snapshot().count(); }, this);
+      [this] { return instruments_.retry_backoff_us->count(); }, this);
   if (events_ != nullptr) {
     registry->AddCounterCallback(
         "wavekit_events_appended_total",
@@ -277,18 +281,6 @@ void WaveService::RegisterMetrics() {
       "wavekit_trace_roots_sampled_total",
       "AdvanceDay traces sampled into the span ring.", {},
       [this] { return tracer_->roots_sampled(); }, this);
-  registry->AddHistogramCallback(
-      "wavekit_service_probe_latency_us",
-      "Wall-clock probe latency in microseconds.", {},
-      [this] { return probe_latency_us_.Snapshot(); }, this);
-  registry->AddHistogramCallback(
-      "wavekit_service_scan_latency_us",
-      "Wall-clock scan latency in microseconds.", {},
-      [this] { return scan_latency_us_.Snapshot(); }, this);
-  registry->AddHistogramCallback(
-      "wavekit_service_advance_latency_us",
-      "Wall-clock AdvanceDay latency in microseconds.", {},
-      [this] { return advance_latency_us_.Snapshot(); }, this);
   registry->AddGaugeCallback(
       "wavekit_bucket_compressed_bytes",
       "Live stored bucket bytes across the snapshot (compressed extents at "
@@ -365,7 +357,7 @@ Result<std::unique_ptr<WaveService>> WaveService::Create(Options options) {
   env.events = service->events_.get();  // nullptr = no retry journaling
   env.retry = options.retry;
   env.integrity = &service->integrity_;
-  env.retry_backoff_us = &service->retry_backoff_us_;
+  env.retry_backoff_us = service->instruments_.retry_backoff_us;
   env.clock = service->clock_;
   if (service->maintenance_pool_ != nullptr) {
     env.maintenance.pool = service->maintenance_pool_.get();
@@ -399,7 +391,7 @@ void WaveService::AdvanceDayAsync(DayBatch new_day) {
   if (advance_runner_ == nullptr) {
     advance_runner_ = MakePool(1, "advance");
   }
-  async_advances_.fetch_add(1, std::memory_order_relaxed);
+  instruments_.async_advances->Increment();
   pending_advances_.fetch_add(1, std::memory_order_relaxed);
   advance_runner_->Submit([this, batch = std::move(new_day)]() mutable {
     {
@@ -440,7 +432,7 @@ Status WaveService::AdvanceDayLocked(DayBatch new_day) {
       // Degraded mode: keep serving the last good snapshot. No republish is
       // needed for health flags — snapshots share the constituent objects,
       // so any MarkUnhealthy the scheme did is already visible to readers.
-      degraded_advances_.fetch_add(1, std::memory_order_relaxed);
+      instruments_.degraded_advances->Increment();
       if (events_ != nullptr) {
         events_->Append(obs::EventType::kAdvanceRollback, day,
                         transitioned.message());
@@ -453,8 +445,8 @@ Status WaveService::AdvanceDayLocked(DayBatch new_day) {
     }
   }
   Publish();
-  days_advanced_.fetch_add(1, std::memory_order_relaxed);
-  advance_latency_us_.Record(MicrosSince(start));
+  instruments_.days_advanced->Increment();
+  instruments_.advance_latency_us->Record(MicrosSince(start));
   if (events_ != nullptr) {
     events_->Append(obs::EventType::kAdvanceCommit, day, "");
   }
@@ -511,9 +503,9 @@ Result<ScrubReport> WaveService::ScrubLocked() {
   scrub.device = &device_;
   WAVEKIT_ASSIGN_OR_RETURN(ScrubReport report,
                            ScrubWave(scheme_->wave(), scrub));
-  scrub_passes_.fetch_add(1, std::memory_order_relaxed);
-  scrub_extents_.fetch_add(report.buckets_verified, std::memory_order_relaxed);
-  scrub_bytes_.fetch_add(report.bytes_read, std::memory_order_relaxed);
+  instruments_.scrub_passes->Increment();
+  instruments_.scrub_extents->Increment(report.buckets_verified);
+  instruments_.scrub_bytes->Increment(report.bytes_read);
   if (!report.quarantined.empty()) {
     std::string detail = "corruption quarantined:";
     for (const std::string& name : report.quarantined) detail += " " + name;
@@ -533,10 +525,9 @@ Result<ScrubReport> WaveService::ScrubLocked() {
 Result<Scheme::HealReport> WaveService::HealLocked() {
   WAVEKIT_ASSIGN_OR_RETURN(Scheme::HealReport report,
                            scheme_->HealUnhealthy());
-  constituents_healed_.fetch_add(static_cast<uint64_t>(report.healed),
-                                 std::memory_order_relaxed);
-  heals_skipped_.fetch_add(static_cast<uint64_t>(report.skipped),
-                           std::memory_order_relaxed);
+  instruments_.constituents_healed->Increment(
+      static_cast<uint64_t>(report.healed));
+  instruments_.heals_skipped->Increment(static_cast<uint64_t>(report.skipped));
   if (report.healed > 0) Publish();
   // Whole again? Only a heal that left no unhealthy constituent clears the
   // degraded flag; skipped slots (source days pruned) keep it raised.
@@ -569,59 +560,6 @@ std::shared_ptr<const WaveIndex> WaveService::Snapshot() const {
   return snapshot_;
 }
 
-ServiceMetrics WaveService::Metrics() const {
-  ServiceMetrics out;
-  out.probes = probes_.load(std::memory_order_relaxed);
-  out.scans = scans_.load(std::memory_order_relaxed);
-  out.days_advanced = days_advanced_.load(std::memory_order_relaxed);
-  out.async_advances = async_advances_.load(std::memory_order_relaxed);
-  out.pending_advances =
-      static_cast<uint64_t>(pending_advances_.load(std::memory_order_relaxed));
-  out.degraded_advances = degraded_advances_.load(std::memory_order_relaxed);
-  out.partial_results = partial_results_.load(std::memory_order_relaxed);
-  if (scheme_ != nullptr) out.faults = scheme_->fault_stats();
-  out.probe_latency_us = probe_latency_us_.Snapshot();
-  out.scan_latency_us = scan_latency_us_.Snapshot();
-  out.advance_latency_us = advance_latency_us_.Snapshot();
-  out.checksum_verified_buckets =
-      integrity_.verified_buckets.load(std::memory_order_relaxed);
-  out.checksum_trusted_buckets =
-      integrity_.trusted_buckets.load(std::memory_order_relaxed);
-  out.corruptions_detected =
-      integrity_.corruptions_detected.load(std::memory_order_relaxed);
-  out.quarantines = integrity_.quarantines.load(std::memory_order_relaxed);
-  out.scrub_passes = scrub_passes_.load(std::memory_order_relaxed);
-  out.scrub_extents = scrub_extents_.load(std::memory_order_relaxed);
-  out.scrub_bytes = scrub_bytes_.load(std::memory_order_relaxed);
-  out.constituents_healed =
-      constituents_healed_.load(std::memory_order_relaxed);
-  out.heals_skipped = heals_skipped_.load(std::memory_order_relaxed);
-  out.retry_backoff_us = retry_backoff_us_.Snapshot();
-  return out;
-}
-
-void WaveService::ResetMetrics() {
-  probes_.store(0, std::memory_order_relaxed);
-  scans_.store(0, std::memory_order_relaxed);
-  days_advanced_.store(0, std::memory_order_relaxed);
-  async_advances_.store(0, std::memory_order_relaxed);
-  degraded_advances_.store(0, std::memory_order_relaxed);
-  partial_results_.store(0, std::memory_order_relaxed);
-  probe_latency_us_.Reset();
-  scan_latency_us_.Reset();
-  advance_latency_us_.Reset();
-  integrity_.verified_buckets.store(0, std::memory_order_relaxed);
-  integrity_.trusted_buckets.store(0, std::memory_order_relaxed);
-  integrity_.corruptions_detected.store(0, std::memory_order_relaxed);
-  integrity_.quarantines.store(0, std::memory_order_relaxed);
-  scrub_passes_.store(0, std::memory_order_relaxed);
-  scrub_extents_.store(0, std::memory_order_relaxed);
-  scrub_bytes_.store(0, std::memory_order_relaxed);
-  constituents_healed_.store(0, std::memory_order_relaxed);
-  heals_skipped_.store(0, std::memory_order_relaxed);
-  retry_backoff_us_.Reset();
-}
-
 Status WaveService::TimedIndexProbe(const DayRange& range, const Value& value,
                                     std::vector<Entry>* out,
                                     QueryStats* stats) const {
@@ -631,11 +569,9 @@ Status WaveService::TimedIndexProbe(const DayRange& range, const Value& value,
   }
   const uint64_t start = clock_->NowMicros();
   Status status = snapshot->TimedIndexProbe(range, value, out, stats);
-  if (status.IsPartialResult()) {
-    partial_results_.fetch_add(1, std::memory_order_relaxed);
-  }
-  probes_.fetch_add(1, std::memory_order_relaxed);
-  probe_latency_us_.Record(MicrosSince(start));
+  if (status.IsPartialResult()) instruments_.partial_results->Increment();
+  instruments_.probes->Increment();
+  instruments_.probe_latency_us->Record(MicrosSince(start));
   return status;
 }
 
@@ -653,11 +589,9 @@ Status WaveService::TimedSegmentScan(const DayRange& range,
   }
   const uint64_t start = clock_->NowMicros();
   Status status = snapshot->TimedSegmentScan(range, callback, stats);
-  if (status.IsPartialResult()) {
-    partial_results_.fetch_add(1, std::memory_order_relaxed);
-  }
-  scans_.fetch_add(1, std::memory_order_relaxed);
-  scan_latency_us_.Record(MicrosSince(start));
+  if (status.IsPartialResult()) instruments_.partial_results->Increment();
+  instruments_.scans->Increment();
+  instruments_.scan_latency_us->Record(MicrosSince(start));
   return status;
 }
 

@@ -44,52 +44,6 @@
 
 namespace wavekit {
 
-/// \brief Operational metrics of a WaveService.
-struct ServiceMetrics {
-  uint64_t probes = 0;
-  uint64_t scans = 0;
-  uint64_t days_advanced = 0;
-  /// AdvanceDayAsync submissions (each is later applied in order, or dropped
-  /// if an earlier one failed).
-  uint64_t async_advances = 0;
-  /// Async advances queued or running at snapshot time.
-  uint64_t pending_advances = 0;
-  /// AdvanceDay calls that failed; the service keeps serving the last good
-  /// snapshot (degraded: stale window, possibly unhealthy constituents).
-  uint64_t degraded_advances = 0;
-  /// Queries answered with Status::PartialResult (degraded-mode serving).
-  uint64_t partial_results = 0;
-  /// Retry/fault counters of the maintenance scheme.
-  FaultStats faults;
-  /// Wall-clock probe latency in microseconds (log-bucketed percentiles).
-  Histogram probe_latency_us;
-  /// Wall-clock scan latency in microseconds.
-  Histogram scan_latency_us;
-  /// Wall-clock AdvanceDay latency in microseconds.
-  Histogram advance_latency_us;
-  /// Buckets whose CRC-32C was verified (read path + scrub + recovery).
-  uint64_t checksum_verified_buckets = 0;
-  /// Buckets served from verified-resident cache blocks, so batch scans
-  /// skipped re-verifying them (storage/device.h ReadBatchTracked).
-  uint64_t checksum_trusted_buckets = 0;
-  /// Checksum mismatches detected anywhere.
-  uint64_t corruptions_detected = 0;
-  /// Constituents quarantined after a mismatch.
-  uint64_t quarantines = 0;
-  /// Completed scrub passes / bucket extents verified / bytes re-read by the
-  /// background scrubber.
-  uint64_t scrub_passes = 0;
-  uint64_t scrub_extents = 0;
-  uint64_t scrub_bytes = 0;
-  /// Constituents rebuilt from segment data by self-healing, and heals
-  /// skipped because the day store no longer held the source days.
-  uint64_t constituents_healed = 0;
-  uint64_t heals_skipped = 0;
-  /// Retry backoff sleeps in microseconds (exported as the
-  /// wavekit_retry_backoff_seconds summary).
-  Histogram retry_backoff_us;
-};
-
 /// \brief Concurrent wave-index server: one writer, many readers.
 class WaveService {
  public:
@@ -155,11 +109,12 @@ class WaveService {
     /// caching.
     size_t cache_blocks = 0;
 
-    /// When set, the service registers all of its observability — device
-    /// phase counters, cache shard stats, pool depth, and the service
-    /// probe/scan/advance counters and latency histograms — with this
-    /// registry at construction and unregisters them in its destructor. The
-    /// registry must outlive the service.
+    /// The registry that owns the service's counters and latency histograms
+    /// (instruments()) and polls the state other components own — device
+    /// phase counters, cache shard stats, pool depth, fault and integrity
+    /// counters, codec gauges. The service registers everything at
+    /// construction and unregisters it in its destructor; the registry must
+    /// outlive the service. When null, the service owns a private registry.
     obs::MetricsRegistry* metrics_registry = nullptr;
 
     /// Fraction of AdvanceDay calls traced (root span + child spans for each
@@ -175,8 +130,8 @@ class WaveService {
 
     /// When true, a LatencyTrackingDevice is stacked under the meter and
     /// records measured wall-clock per-op latency histograms labeled by
-    /// phase, plus observed-vs-modeled drift gauges (registered when
-    /// metrics_registry is set). Most useful on real-disk backends.
+    /// phase, plus observed-vs-modeled drift gauges, in the metrics
+    /// registry. Most useful on real-disk backends.
     bool track_device_latency = false;
 
     /// When > 0 (and metrics_registry is set), the service owns a
@@ -292,12 +247,41 @@ class WaveService {
   /// constituents (see ConstituentIndex::CodecStats). Zeroes before Start.
   ConstituentIndex::CodecBreakdown CodecTotals() const;
 
-  /// A copy of the current operational metrics (thread-safe, lock-free).
-  ServiceMetrics Metrics() const;
-
-  /// Zeroes the metrics (thread-safe; not linearizable against in-flight
-  /// queries).
-  void ResetMetrics();
+  /// \brief The counters and latency histograms only the service writes,
+  /// owned by its metrics registry. Reading one is a relaxed atomic load
+  /// (a snapshot for histograms), never the registry mutex. Fault and
+  /// integrity counters live with their owners: scheme().fault_stats() and
+  /// integrity().
+  struct Instruments {
+    obs::Counter* probes;
+    obs::Counter* scans;
+    /// Window transitions completed by AdvanceDay.
+    obs::Counter* days_advanced;
+    /// AdvanceDayAsync submissions (each is later applied in order, or
+    /// dropped if an earlier one failed).
+    obs::Counter* async_advances;
+    /// AdvanceDay calls that failed; the service keeps serving the last good
+    /// snapshot (degraded: stale window, possibly unhealthy constituents).
+    obs::Counter* degraded_advances;
+    /// Queries answered with Status::PartialResult (degraded-mode serving).
+    obs::Counter* partial_results;
+    /// Completed scrub passes, bucket extents verified, and bytes re-read by
+    /// the scrubber.
+    obs::Counter* scrub_passes;
+    obs::Counter* scrub_extents;
+    obs::Counter* scrub_bytes;
+    /// Constituents rebuilt from segment data by self-healing, and heals
+    /// skipped because the day store no longer held the source days.
+    obs::Counter* constituents_healed;
+    obs::Counter* heals_skipped;
+    /// Probe, scan and AdvanceDay latency in microseconds on the service
+    /// clock, and retry backoff sleeps.
+    ConcurrentHistogram* probe_latency_us;
+    ConcurrentHistogram* scan_latency_us;
+    ConcurrentHistogram* advance_latency_us;
+    ConcurrentHistogram* retry_backoff_us;
+  };
+  const Instruments& instruments() const { return instruments_; }
 
   /// The block cache, or nullptr when Options::cache_blocks == 0.
   const ShardedCachedDevice* cache() const { return cache_.get(); }
@@ -380,6 +364,11 @@ class WaveService {
 
   Options options_;
   Clock* clock_;  // options_.clock or the wall clock
+  // Declared before the members that record into instruments_, so it
+  // outlives them: the registry owns the instruments.
+  std::unique_ptr<obs::MetricsRegistry> owned_registry_;
+  obs::MetricsRegistry* registry_;  // options_.metrics_registry or owned
+  Instruments instruments_{};
   std::unique_ptr<Device> base_device_;  // the selected storage backend
   std::unique_ptr<Device> interposed_;   // optional chaos layer over the base
   // Optional measured-latency layer between the chaos seam and the meter;
@@ -409,7 +398,6 @@ class WaveService {
   mutable std::mutex advance_mutex_;
   Status async_error_;
   std::atomic<int> pending_advances_{0};
-  std::atomic<uint64_t> async_advances_{0};
 
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const WaveIndex> snapshot_;
@@ -419,28 +407,10 @@ class WaveService {
   mutable std::mutex degraded_mutex_;
   std::string degraded_detail_;  // guarded by degraded_mutex_
 
-  // Metrics: relaxed atomics + lock-free histograms — the only state query
-  // threads write, and none of it is shared through a mutex.
-  mutable std::atomic<uint64_t> probes_{0};
-  mutable std::atomic<uint64_t> scans_{0};
-  std::atomic<uint64_t> days_advanced_{0};
-  std::atomic<uint64_t> degraded_advances_{0};
-  mutable std::atomic<uint64_t> partial_results_{0};
-  mutable ConcurrentHistogram probe_latency_us_;
-  mutable ConcurrentHistogram scan_latency_us_;
-  ConcurrentHistogram advance_latency_us_;
-
-  // Integrity: shared counters every constituent and the scrubber write
-  // (atomics — query threads detect corruption too), the retry-backoff
-  // histogram the scheme records sleeps into, and the scrub/heal tallies.
+  // Integrity counters every constituent and the scrubber write (atomics —
+  // query threads detect corruption too).
   IntegrityStats integrity_;
-  ConcurrentHistogram retry_backoff_us_;
   uint64_t last_scrub_us_ = 0;  // guarded by advance_mutex_
-  std::atomic<uint64_t> scrub_passes_{0};
-  std::atomic<uint64_t> scrub_extents_{0};
-  std::atomic<uint64_t> scrub_bytes_{0};
-  std::atomic<uint64_t> constituents_healed_{0};
-  std::atomic<uint64_t> heals_skipped_{0};
 };
 
 }  // namespace wavekit

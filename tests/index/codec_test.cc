@@ -197,6 +197,27 @@ TEST(CodecTest, DecodeRejectsGarbage) {
   EXPECT_FALSE(raw_mismatch.ok());
 }
 
+TEST(CodecTest, DeltaDecodeWrapsHostileIdDeltas) {
+  // Two record-id deltas of INT64_MAX each: their sum leaves int64_t, so the
+  // decoder must wrap in the unsigned record-id domain, not overflow.
+  std::vector<std::byte> bytes;
+  const auto put_varint = [&bytes](uint64_t v) {
+    for (; v >= 0x80; v >>= 7) bytes.push_back(std::byte(v | 0x80));
+    bytes.push_back(std::byte(v));
+  };
+  const uint64_t zigzag_int64_max = ~uint64_t{1};
+  for (uint64_t column : {zigzag_int64_max, uint64_t{0}, uint64_t{0}}) {
+    put_varint(column);
+    put_varint(column);
+  }
+  std::vector<Entry> out(2);
+  ASSERT_OK(DecodeBucket(Codec::kDelta, bytes.data(), bytes.size(), 2,
+                         out.data()));
+  EXPECT_EQ(out[0].record_id, uint64_t{INT64_MAX});
+  EXPECT_EQ(out[1].record_id, ~uint64_t{1});
+  EXPECT_EQ(out[1].day, 0);
+}
+
 TEST(CodecTest, CodecFromIdValidatesRange) {
   for (uint64_t id = 0; id < static_cast<uint64_t>(kNumCodecs); ++id) {
     ASSERT_OK_AND_ASSIGN(const Codec codec, CodecFromId(id));

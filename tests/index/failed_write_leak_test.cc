@@ -239,6 +239,9 @@ TEST_F(FailedWriteLeakTest, DeleteThatRelocatesFreesTheNewExtent) {
   EXPECT_TRUE(index->DeleteDays(expire).IsResourceExhausted());
   EXPECT_EQ(allocator_.allocated_bytes(), before);
   EXPECT_OK(allocator_.CheckConsistency());
+  // The failed delete changed nothing, so every entry is still counted.
+  EXPECT_EQ(index->entry_count(), 17u);
+  EXPECT_OK(index->CheckConsistency());
 }
 
 }  // namespace

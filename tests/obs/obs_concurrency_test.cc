@@ -133,16 +133,16 @@ TEST(ObsConcurrencyTest, ServiceObservabilityUnderConcurrentAdvance) {
   EXPECT_EQ(advance_roots, static_cast<uint64_t>(kLastDay - 6));
 
   // The registry view agrees with the service's own accounting.
-  const ServiceMetrics metrics = service->Metrics();
-  EXPECT_EQ(metrics.days_advanced, static_cast<uint64_t>(kLastDay - 6));
+  const uint64_t days_advanced =
+      service->instruments().days_advanced->value();
+  EXPECT_EQ(days_advanced, static_cast<uint64_t>(kLastDay - 6));
   bool saw_days_advanced = false;
   bool saw_device_phase = false;
   bool saw_cache = false;
   for (const obs::MetricSnapshot& metric : registry.Snapshot().metrics) {
     if (metric.name == "wavekit_service_days_advanced_total") {
       saw_days_advanced = true;
-      EXPECT_DOUBLE_EQ(metric.value,
-                       static_cast<double>(metrics.days_advanced));
+      EXPECT_DOUBLE_EQ(metric.value, static_cast<double>(days_advanced));
     }
     if (metric.name == "wavekit_device_seeks_total") saw_device_phase = true;
     if (metric.name == "wavekit_cache_hits_total") saw_cache = true;

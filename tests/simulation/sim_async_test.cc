@@ -116,8 +116,8 @@ TEST(SimAsyncAdvanceTest, QueuedAdvancesApplyInOrderExactlyOnce) {
                                          kWindow + 3}));
   ASSERT_OK(service.WaitForMaintenance());
   EXPECT_EQ(service.pending_advances(), 0);
-  EXPECT_EQ(service.Metrics().days_advanced, 3u);
-  EXPECT_EQ(service.Metrics().async_advances, 3u);
+  EXPECT_EQ(service.instruments().days_advanced->value(), 3u);
+  EXPECT_EQ(service.instruments().async_advances->value(), 3u);
 }
 
 TEST(SimAsyncAdvanceTest, StickyFailureDropsQueuedAdvances) {
@@ -150,9 +150,9 @@ TEST(SimAsyncAdvanceTest, StickyFailureDropsQueuedAdvances) {
   ASSERT_FALSE(sticky.ok());
   EXPECT_TRUE(IsInjectedCrash(sticky)) << sticky;
   EXPECT_EQ(service.current_day(), kWindow + 1);
-  EXPECT_EQ(service.Metrics().days_advanced, 1u);
-  EXPECT_EQ(service.Metrics().degraded_advances, 1u);
-  EXPECT_EQ(service.Metrics().async_advances, 3u);
+  EXPECT_EQ(service.instruments().days_advanced->value(), 1u);
+  EXPECT_EQ(service.instruments().degraded_advances->value(), 1u);
+  EXPECT_EQ(service.instruments().async_advances->value(), 3u);
   EXPECT_EQ(service.pending_advances(), 0);
 
   // The restart: persisted bytes stay, faults clear — the service keeps

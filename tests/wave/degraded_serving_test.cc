@@ -236,8 +236,8 @@ TEST(WaveServiceDegradedTest, KeepsServingThroughFailedAdvance) {
   // The failed advance degraded the service but did not take it down: the
   // published snapshot is still the complete day-7 window.
   EXPECT_EQ(service->current_day(), 7);
-  EXPECT_EQ(service->Metrics().degraded_advances, 1u);
-  EXPECT_GT(service->Metrics().faults.retries_exhausted, 0u);
+  EXPECT_EQ(service->instruments().degraded_advances->value(), 1u);
+  EXPECT_GT(service->scheme().fault_stats().retries_exhausted, 0u);
 
   std::vector<Entry> out;
   QueryStats stats;
@@ -246,7 +246,7 @@ TEST(WaveServiceDegradedTest, KeepsServingThroughFailedAdvance) {
   ASSERT_TRUE(query.ok() || query.IsPartialResult()) << query;
   if (query.IsPartialResult()) {
     EXPECT_GT(stats.indexes_unhealthy, 0);
-    EXPECT_GE(service->Metrics().partial_results, 1u);
+    EXPECT_GE(service->instruments().partial_results->value(), 1u);
   } else {
     ReferenceIndex::Sort(&out);
     EXPECT_EQ(out, reference.Probe("alpha", 2, 7));
@@ -255,7 +255,7 @@ TEST(WaveServiceDegradedTest, KeepsServingThroughFailedAdvance) {
   // The scheme demands recovery before further transitions.
   const Status again = service->AdvanceDay(MakeMixedBatch(8));
   ASSERT_TRUE(again.IsFailedPrecondition()) << again;
-  EXPECT_EQ(service->Metrics().degraded_advances, 2u);
+  EXPECT_EQ(service->instruments().degraded_advances->value(), 2u);
 }
 
 }  // namespace

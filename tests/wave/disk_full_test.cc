@@ -69,7 +69,7 @@ TEST(DiskFullTest, ServiceAdvanceFailsCleanlyAndKeepsServing) {
 
   // Still serving the complete day-7 window (degraded, not down).
   EXPECT_EQ(service->current_day(), 7);
-  EXPECT_EQ(service->Metrics().degraded_advances, 1u);
+  EXPECT_EQ(service->instruments().degraded_advances->value(), 1u);
   std::vector<Entry> out;
   QueryStats stats;
   const Status query =

@@ -249,10 +249,10 @@ TEST(ParallelMaintenanceServiceTest, AsyncAdvancesApplyInOrder) {
   ASSERT_OK(service->WaitForMaintenance());
   EXPECT_EQ(service->current_day(), kWindow + 5);
   EXPECT_EQ(service->pending_advances(), 0);
-  const ServiceMetrics metrics = service->Metrics();
-  EXPECT_EQ(metrics.async_advances, 5u);
-  EXPECT_EQ(metrics.days_advanced, 5u);
-  EXPECT_EQ(metrics.degraded_advances, 0u);
+  const WaveService::Instruments& metrics = service->instruments();
+  EXPECT_EQ(metrics.async_advances->value(), 5u);
+  EXPECT_EQ(metrics.days_advanced->value(), 5u);
+  EXPECT_EQ(metrics.degraded_advances->value(), 0u);
   VerifyWave(*service->Snapshot(), kWindow + 5);
   // Sync and async advances interleave on the same serialized path.
   ASSERT_OK(service->AdvanceDay(Batch(kWindow + 6)));
@@ -286,8 +286,8 @@ TEST(ParallelMaintenanceServiceTest, AsyncFailureIsStickyAndDropsQueued) {
   EXPECT_TRUE(IsInjectedCrash(failed)) << failed;
   EXPECT_EQ(service->current_day(), before);
   EXPECT_EQ(service->pending_advances(), 0);
-  EXPECT_EQ(service->Metrics().days_advanced, 0u);
-  EXPECT_EQ(service->Metrics().degraded_advances, 1u);
+  EXPECT_EQ(service->instruments().days_advanced->value(), 0u);
+  EXPECT_EQ(service->instruments().degraded_advances->value(), 1u);
 
   // Still sticky after more submissions; the service keeps serving the
   // pre-failure snapshot (possibly degraded — ok or partial, never down).

@@ -130,11 +130,10 @@ TEST_F(SelfHealServiceTest, ScrubDetectsQuarantinesThenHealRestores) {
   EXPECT_TRUE(status.IsPartialResult()) << status;
   EXPECT_GE(stats.indexes_unhealthy, 1);
 
-  ServiceMetrics metrics = service_->Metrics();
-  EXPECT_EQ(metrics.corruptions_detected, 1u);
-  EXPECT_EQ(metrics.quarantines, 1u);
-  EXPECT_EQ(metrics.scrub_passes, 1u);
-  EXPECT_GT(metrics.scrub_extents, 0u);
+  EXPECT_EQ(service_->integrity().corruptions_detected.load(), 1u);
+  EXPECT_EQ(service_->integrity().quarantines.load(), 1u);
+  EXPECT_EQ(service_->instruments().scrub_passes->value(), 1u);
+  EXPECT_GT(service_->instruments().scrub_extents->value(), 0u);
 
   // Heal: rebuilt from segment data, republished, degraded flag cleared.
   ASSERT_OK_AND_ASSIGN(Scheme::HealReport healed, service_->Heal());
@@ -142,7 +141,7 @@ TEST_F(SelfHealServiceTest, ScrubDetectsQuarantinesThenHealRestores) {
   EXPECT_EQ(healed.skipped, 0);
   EXPECT_FALSE(service_->degraded());
   EXPECT_TRUE(service_->degraded_detail().empty());
-  EXPECT_EQ(service_->Metrics().constituents_healed, 1u);
+  EXPECT_EQ(service_->instruments().constituents_healed->value(), 1u);
   ExpectExactAnswers(*service_);
 
   // The maintenance lifecycle was journaled.
@@ -167,7 +166,7 @@ TEST_F(SelfHealServiceTest, AutoHealRepairsInsideTheScrub) {
   EXPECT_EQ(report.mismatches, 1u);
   // The scrub itself healed and republished before returning.
   EXPECT_FALSE(service_->degraded());
-  EXPECT_EQ(service_->Metrics().constituents_healed, 1u);
+  EXPECT_EQ(service_->instruments().constituents_healed->value(), 1u);
   ExpectExactAnswers(*service_);
 }
 
@@ -178,20 +177,19 @@ TEST_F(SelfHealServiceTest, PeriodicScrubRunsOnTheMaintenancePath) {
   options.scrub_interval_us = 1000;
   options.auto_heal = true;
   StartService(std::move(options));
-  EXPECT_EQ(service_->Metrics().scrub_passes, 0u);
+  EXPECT_EQ(service_->instruments().scrub_passes->value(), 0u);
 
   // Within the interval: the advance does not scrub.
   ASSERT_OK(service_->AdvanceDay(MakeMixedBatch(kWindow + 2)));
-  EXPECT_EQ(service_->Metrics().scrub_passes, 0u);
+  EXPECT_EQ(service_->instruments().scrub_passes->value(), 0u);
 
   // Past the interval: the next advance scrubs — and heals what it finds.
   CorruptOneBucket();
   clock.Advance(1500);
   ASSERT_OK(service_->AdvanceDay(MakeMixedBatch(kWindow + 3)));
-  ServiceMetrics metrics = service_->Metrics();
-  EXPECT_EQ(metrics.scrub_passes, 1u);
-  EXPECT_EQ(metrics.corruptions_detected, 1u);
-  EXPECT_EQ(metrics.constituents_healed, 1u);
+  EXPECT_EQ(service_->instruments().scrub_passes->value(), 1u);
+  EXPECT_EQ(service_->integrity().corruptions_detected.load(), 1u);
+  EXPECT_EQ(service_->instruments().constituents_healed->value(), 1u);
   EXPECT_FALSE(service_->degraded());
   ExpectExactAnswers(*service_);
 }

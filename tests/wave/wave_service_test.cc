@@ -70,14 +70,13 @@ TEST(WaveServiceTest, BasicServeAndAdvance) {
   EXPECT_GT(visited, 0u);
 
   // Operational metrics tracked the traffic.
-  const ServiceMetrics metrics = service->Metrics();
-  EXPECT_EQ(metrics.probes, 2u);
-  EXPECT_EQ(metrics.scans, 1u);
-  EXPECT_EQ(metrics.days_advanced, 1u);
-  EXPECT_EQ(metrics.probe_latency_us.count(), 2u);
-  EXPECT_GE(metrics.probe_latency_us.Percentile(0.5), 1u);
-  service->ResetMetrics();
-  EXPECT_EQ(service->Metrics().probes, 0u);
+  const WaveService::Instruments& metrics = service->instruments();
+  EXPECT_EQ(metrics.probes->value(), 2u);
+  EXPECT_EQ(metrics.scans->value(), 1u);
+  EXPECT_EQ(metrics.days_advanced->value(), 1u);
+  const Histogram probe_latency = metrics.probe_latency_us->Snapshot();
+  EXPECT_EQ(probe_latency.count(), 2u);
+  EXPECT_GE(probe_latency.Percentile(0.5), 1u);
 }
 
 TEST(WaveServiceTest, OldSnapshotRemainsServableAfterAdvance) {

@@ -3,6 +3,10 @@
 //   sim_torture [--serve] [--seed=1] [--episodes=64] [--scheme=all|del|reindex|...]
 //               [--episode=E] [--print-trace] [--shrink=1] [--tmp-dir=/tmp]
 //               [--inject-window-bug] [--bitrot] [--codec]
+//   sim_torture --serve [--seed=1] [--episodes=8] [--tenants=3] [--days=5]
+//               [--episode=E] [--print-trace]
+//
+// An unknown flag or a malformed value exits with status 2.
 //
 // --bitrot switches to the bit-rot scenario family (GenerateBitRot): every
 // day commits cleanly, then silent data-at-rest corruption strikes and the
@@ -28,58 +32,17 @@
 // (wave/scheme.h, internal::SetWindowInvariantMutationForTesting) to
 // demonstrate that the harness detects it.
 
-#include <cstdlib>
 #include <iostream>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "testing/server_sim.h"
 #include "testing/sim_harness.h"
+#include "util/args.h"
 #include "wave/scheme_factory.h"
 
 namespace wavekit {
 namespace {
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::cerr << "unknown argument: " << arg << "\n";
-        ok_ = false;
-        continue;
-      }
-      const size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "true";
-      } else {
-        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  uint64_t GetU64(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
-  }
-  bool GetBool(const std::string& key, bool fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return it->second != "0" && it->second != "false";
-  }
-  bool Has(const std::string& key) const { return values_.contains(key); }
-  bool ok() const { return ok_; }
-
- private:
-  std::map<std::string, std::string> values_;
-  bool ok_ = true;
-};
 
 void ReportFailure(const testing::Simulator& simulator,
                    const testing::EpisodeResult& failure, bool print_trace,
@@ -144,9 +107,21 @@ int ServeMain(const Args& args) {
 
 int Main(int argc, char** argv) {
   const Args args(argc, argv);
-  if (!args.ok()) return 2;
+  const bool serve = args.GetBool("serve");
+  const std::vector<std::string> unknown =
+      serve ? args.Unknown({"serve", "seed", "episodes", "tenants", "days",
+                            "episode", "print-trace"})
+            : args.Unknown({"serve", "seed", "episodes", "scheme", "episode",
+                            "print-trace", "shrink", "tmp-dir",
+                            "inject-window-bug", "bitrot", "codec"});
+  if (!unknown.empty()) {
+    std::cerr << "sim_torture: unknown arguments:";
+    for (const std::string& arg : unknown) std::cerr << " " << arg;
+    std::cerr << "\n";
+    return 2;
+  }
 
-  if (args.GetBool("serve", false)) return ServeMain(args);
+  if (serve) return ServeMain(args);
 
   testing::SimConfig config;
   config.seed = args.GetU64("seed", 1);

@@ -93,7 +93,8 @@
 //   instead of the modeled MemoryDevice, and --codec=raw|auto|delta|bitpack
 //   to choose the bucket codec policy for every index the run builds.
 //
-//   Unknown subcommands or flags print usage and exit non-zero.
+//   Unknown subcommands or flags print usage and exit 2. A flag value that
+//   does not parse as its type (a number, true/false) also exits 2.
 
 #include <unistd.h>
 
@@ -125,6 +126,7 @@
 #include "sim/csv.h"
 #include "sim/driver.h"
 #include "sim/table_printer.h"
+#include "util/args.h"
 #include "util/format.h"
 #include "wave/advisor.h"
 #include "serve/client.h"
@@ -134,62 +136,6 @@
 
 namespace wavekit {
 namespace {
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        // Commands take no positional operands; anything that is not a
-        // --flag is a mistake the dispatcher should reject.
-        stray_.push_back(arg);
-        continue;
-      }
-      const size_t eq = arg.find('=');
-      const std::string key =
-          eq == std::string::npos ? arg.substr(2) : arg.substr(2, eq - 2);
-      values_[key] = eq == std::string::npos ? "true" : arg.substr(eq + 1);
-      seen_.push_back(key);
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  bool GetBool(const std::string& key) const {
-    return Get(key, "false") == "true";
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-
-  /// Arguments this command does not understand: every --flag whose key is
-  /// absent from `allowed` (rendered back as "--key"), plus any stray
-  /// positional operands, in the order given.
-  std::vector<std::string> Unknown(
-      const std::vector<std::string>& allowed) const {
-    std::vector<std::string> unknown;
-    for (const std::string& key : seen_) {
-      if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-        unknown.push_back("--" + key);
-      }
-    }
-    unknown.insert(unknown.end(), stray_.begin(), stray_.end());
-    return unknown;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> seen_;   // flag keys, in command-line order
-  std::vector<std::string> stray_;  // non-flag operands
-};
 
 model::CaseParams CaseByName(const std::string& name) {
   if (name == "wse") return model::CaseParams::Wse();
@@ -602,11 +548,13 @@ int Top(const Args& args) {
   }
   device_table.Print(std::cout);
 
-  const ServiceMetrics metrics = svc.Metrics();
+  const WaveService::Instruments& metrics = svc.instruments();
   sim::TablePrinter ops({"operation", "count", "p50", "p99", "max"});
-  const auto latency_row = [&ops](const std::string& name, uint64_t count,
-                                  const Histogram& h) {
-    ops.AddRow({name, std::to_string(count),
+  const auto latency_row = [&ops](const std::string& name,
+                                  const obs::Counter* count,
+                                  const ConcurrentHistogram* latency) {
+    const Histogram h = latency->Snapshot();
+    ops.AddRow({name, std::to_string(count->value()),
                 std::to_string(h.Percentile(0.5)) + " us",
                 std::to_string(h.Percentile(0.99)) + " us",
                 std::to_string(h.max()) + " us"});
@@ -619,8 +567,9 @@ int Top(const Args& args) {
 
   std::cout << "\nday=" << svc.current_day()
             << " degraded=" << (svc.degraded() ? "yes" : "no")
-            << " failed_advances=" << metrics.degraded_advances
-            << " retries=" << metrics.faults.retries << " samples="
+            << " failed_advances=" << metrics.degraded_advances->value()
+            << " retries=" << svc.scheme().fault_stats().retries
+            << " samples="
             << (svc.collector() != nullptr ? svc.collector()->samples_taken()
                                            : 0)
             << " events="
@@ -1457,7 +1406,7 @@ int Main(int argc, char** argv) {
     PrintUsage(std::cerr);
     return 2;
   }
-  Args args(argc, argv);
+  const Args args(argc, argv, /*first=*/2);
   const std::vector<std::string> unknown = args.Unknown(it->second.flags);
   if (!unknown.empty()) {
     std::cerr << "wavectl " << command << ": unknown argument";

@@ -18,7 +18,8 @@
 // plus the wavekit_server_* serving counters — is re-exported over HTTP on
 // that port (/metrics, /metrics.json, /healthz; obs/http_exporter.h).
 // --metrics-port=0 picks an ephemeral port; --no-metrics disables the
-// exporter entirely.
+// exporter entirely. An unknown flag or a malformed value exits with
+// status 2.
 //
 // Prints one line when ready:
 //   waved ready port=<p> metrics_port=<mp> tenants=<n> pid=<pid>
@@ -27,7 +28,6 @@
 #include <algorithm>
 #include <csignal>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <unistd.h>
@@ -38,6 +38,7 @@
 #include "obs/metrics.h"
 #include "serve/server_core.h"
 #include "serve/server_loop.h"
+#include "util/args.h"
 #include "util/macros.h"
 #include "wave/scheme_factory.h"
 #include "wave/wave_service.h"
@@ -45,58 +46,6 @@
 
 namespace wavekit {
 namespace {
-
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        stray_.push_back(arg);
-        continue;
-      }
-      const size_t eq = arg.find('=');
-      const std::string key =
-          eq == std::string::npos ? arg.substr(2) : arg.substr(2, eq - 2);
-      values_[key] = eq == std::string::npos ? "true" : arg.substr(eq + 1);
-      seen_.push_back(key);
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
-  }
-  bool GetBool(const std::string& key) const {
-    return Get(key, "false") == "true";
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
-  }
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  std::vector<std::string> Unknown(
-      const std::vector<std::string>& allowed) const {
-    std::vector<std::string> unknown;
-    for (const std::string& key : seen_) {
-      if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-        unknown.push_back("--" + key);
-      }
-    }
-    unknown.insert(unknown.end(), stray_.begin(), stray_.end());
-    return unknown;
-  }
-
- private:
-  std::map<std::string, std::string> values_;
-  std::vector<std::string> seen_;
-  std::vector<std::string> stray_;
-};
 
 volatile std::sig_atomic_t g_shutdown_requested = 0;
 
@@ -161,6 +110,16 @@ int Serve(const Args& args) {
     return 2;
   }
 
+  // Read every flag of the loop and the exporter before the tenants are
+  // built, so a malformed one fails fast.
+  serve::ServerLoop::Options loop_options;
+  loop_options.bind_address = args.Get("bind", "127.0.0.1");
+  loop_options.port = static_cast<uint16_t>(args.GetInt("port", 8787));
+  loop_options.idle_timeout_ms = args.GetInt("idle-timeout-ms", 30'000);
+  const bool export_metrics = !args.GetBool("no-metrics");
+  const auto exporter_port =
+      static_cast<uint16_t>(args.GetInt("metrics-port", 0));
+
   obs::MetricsRegistry registry;
 
   serve::ServerCore::Options core_options;
@@ -185,10 +144,6 @@ int Serve(const Args& args) {
     }
   }
 
-  serve::ServerLoop::Options loop_options;
-  loop_options.bind_address = args.Get("bind", "127.0.0.1");
-  loop_options.port = static_cast<uint16_t>(args.GetInt("port", 8787));
-  loop_options.idle_timeout_ms = args.GetInt("idle-timeout-ms", 30'000);
   serve::ServerLoop loop(loop_options, &core);
   const Status started = loop.Start();
   if (!started.ok()) {
@@ -199,10 +154,10 @@ int Serve(const Args& args) {
   // Re-export the unified registry over HTTP unless --no-metrics.
   std::unique_ptr<obs::HttpExporter> exporter;
   uint16_t metrics_port = 0;
-  if (!args.GetBool("no-metrics")) {
+  if (export_metrics) {
     obs::HttpExporter::Options http;
     http.bind_address = loop_options.bind_address;
-    http.port = static_cast<uint16_t>(args.GetInt("metrics-port", 0));
+    http.port = exporter_port;
     http.registry = &registry;
     http.health = [&core](std::string* detail) {
       for (size_t t = 0; t < core.tenant_count(); ++t) {
