@@ -11,6 +11,24 @@
 #include "util/macros.h"
 
 namespace wavekit {
+namespace {
+
+// The largest read batch of a scan, in stored bytes.
+constexpr uint64_t kScanBatchBytes = uint64_t{4} << 20;
+
+// Cuts the runs of one read batch, in buffer order, down to the runs that
+// cover its first `bytes` bytes.
+void TrimExtents(std::vector<Extent>* extents, uint64_t bytes) {
+  size_t keep = 0;
+  while (keep < extents->size() && bytes > 0) {
+    Extent& run = (*extents)[keep++];
+    run.length = std::min(run.length, bytes);
+    bytes -= run.length;
+  }
+  extents->resize(keep);
+}
+
+}  // namespace
 
 ConstituentIndex::ConstituentIndex(Device* device, ExtentAllocator* allocator,
                                    Options options, std::string name)
@@ -178,13 +196,19 @@ Status ConstituentIndex::Scan(const EntryCallback& callback) const {
 }
 
 Status ConstituentIndex::TimedScan(const DayRange& range,
-                                   const EntryCallback& callback) const {
+                                   const EntryCallback& callback,
+                                   uint64_t limit) const {
+  if (limit == 0) return Status::OK();
   const bool covered = range.Covers(time_set_);
   // Coalesce physically adjacent live regions into runs (a packed index is
-  // one run) and issue one ReadBatch per ~kScanBatchBytes of pending buckets
-  // — one device round-trip (and, in a serving stack, one metering round)
-  // per batch instead of per bucket.
-  static constexpr uint64_t kScanBatchBytes = uint64_t{4} << 20;
+  // one run) and issue one ReadBatch per `batch_bytes` of pending buckets —
+  // one device round-trip (and, in a serving stack, one metering round) per
+  // batch instead of per bucket. The first batch is sized to the limit and
+  // each later one doubles; any limit of kScanBatchBytes / kEntrySize or
+  // more (kNoEntryLimit among them) reads kScanBatchBytes from the first.
+  uint64_t batch_bytes =
+      std::min(limit, kScanBatchBytes / kEntrySize) * kEntrySize;
+  uint64_t remaining = limit;  // entries the scan may still deliver
   // Pending buckets in structure-of-arrays form so the fused verify+deliver
   // loop below touches a few small dense arrays, not a vector of structs.
   std::vector<Extent> extents;
@@ -228,8 +252,9 @@ Status ConstituentIndex::TimedScan(const DayRange& range,
     // verified-buckets stat is charged once per flush, not per bucket.
     const size_t total = pending_values.size();
     const bool verify = options_.verify_checksums && !all_trusted;
-    size_t bad = total;  // first corrupt bucket, or total when clean
-    size_t at = 0;       // byte offset of bucket k within the buffer
+    size_t bad = total;        // first corrupt bucket, or total when clean
+    size_t delivered = total;  // buckets delivered before the limit stopped
+    size_t at = 0;             // byte offset of bucket k within the buffer
     uint32_t actual = verify ? Crc32c(buffer.data(), pending_lengths[0]) : 0;
     for (size_t k = 0; k < total; ++k) {
       const uint32_t length = pending_lengths[k];
@@ -263,19 +288,26 @@ Status ConstituentIndex::TimedScan(const DayRange& range,
             value, pending_codecs[k], stored, length, count, scratch.data()));
         bucket = scratch.data();
       }
-      for (uint32_t i = 0; i < count; ++i) {
+      for (uint32_t i = 0; i < count && remaining > 0; ++i) {
         const Entry& e = bucket[i];
-        if (covered || range.Contains(e.day)) callback(value, e);
+        if (covered || range.Contains(e.day)) {
+          callback(value, e);
+          --remaining;
+        }
       }
       at += length;
+      if (remaining == 0) {
+        delivered = k + 1;
+        break;
+      }
     }
     if (options_.integrity != nullptr && options_.verify_checksums) {
       if (verify) {
         options_.integrity->verified_buckets.fetch_add(
-            bad == total ? total : bad + 1, std::memory_order_relaxed);
+            bad == total ? delivered : bad + 1, std::memory_order_relaxed);
       } else {
         options_.integrity->trusted_buckets.fetch_add(
-            total, std::memory_order_relaxed);
+            delivered, std::memory_order_relaxed);
       }
     }
     if (bad != total) {
@@ -288,8 +320,11 @@ Status ConstituentIndex::TimedScan(const DayRange& range,
                                              pending_lengths[bad]));
     }
     if (verify && bad == total) {
-      // Every byte of this batch checksummed clean: mark those bytes of
-      // still-resident cache blocks so the next scan over them can skip.
+      // Every byte the scan checksummed came out clean: mark those bytes of
+      // still-resident cache blocks so the next scan over them can skip. A
+      // batch the limit stopped in checked only its first `at` bytes; the
+      // buckets after them stay untrusted.
+      if (delivered < total) TrimExtents(&extents, at);
       device_->MarkVerified(extents, fill_token);
     }
     extents.clear();
@@ -321,7 +356,11 @@ Status ConstituentIndex::TimedScan(const DayRange& range,
     pending_codecs.push_back(info->codec);
     pending_crcs.push_back(info->crc);
     pending_bytes += live.length;
-    if (pending_bytes >= kScanBatchBytes) WAVEKIT_RETURN_NOT_OK(flush());
+    if (pending_bytes >= batch_bytes) {
+      WAVEKIT_RETURN_NOT_OK(flush());
+      if (remaining == 0) return Status::OK();
+      batch_bytes = std::min(2 * batch_bytes, kScanBatchBytes);
+    }
   }
   return flush();
 }

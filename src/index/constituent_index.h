@@ -14,6 +14,7 @@
 #define WAVEKIT_INDEX_CONSTITUENT_INDEX_H_
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
@@ -34,6 +35,9 @@ namespace wavekit {
 
 /// Visitor for scans; called once per live entry.
 using EntryCallback = std::function<void(const Value&, const Entry&)>;
+
+/// The entry limit of a scan that delivers every entry it visits.
+inline constexpr uint64_t kNoEntryLimit = UINT64_MAX;
 
 /// \brief Shared integrity counters, bumped by checksum verification and
 /// quarantine across all constituents wired to the same instance (the
@@ -181,8 +185,21 @@ class ConstituentIndex {
   /// SegmentScan: visits every live entry, bucket by bucket in layout order.
   Status Scan(const EntryCallback& callback) const;
 
-  /// TimedSegmentScan restricted to this constituent.
-  Status TimedScan(const DayRange& range, const EntryCallback& callback) const;
+  /// TimedSegmentScan restricted to this constituent: visits the entries
+  /// whose day lies in `range`, bucket by bucket in layout order.
+  ///
+  /// With a `limit`, the scan delivers at most `limit` entries, the first
+  /// `limit` of the unlimited scan in the same order, and stops reading once
+  /// it has: no read batch follows the one in which it reaches the limit.
+  /// Its first batch holds limit * kEntrySize stored bytes (at least one
+  /// bucket) and each later batch doubles, up to 4 MiB, so the bytes read
+  /// grow with the entries delivered, not with the constituent. An
+  /// unlimited scan reads 4 MiB batches from the first. A batch
+  /// the scan stops in has read buckets it never checksummed: only the
+  /// buckets it delivered count as verified (or trusted) and are marked
+  /// verified in the cache.
+  Status TimedScan(const DayRange& range, const EntryCallback& callback,
+                   uint64_t limit = kNoEntryLimit) const;
 
   // --- Mutation primitives ---------------------------------------------------
 

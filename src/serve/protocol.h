@@ -16,6 +16,7 @@
 // Request payloads (client -> server):
 //   PROBE   := lo:i32 hi:i32 value_len:u32 value:bytes
 //   SCAN    := lo:i32 hi:i32 max_entries:u32   (0 = all that fit one reply)
+//              (the server reads only as far as the cap needs; ScanRequest)
 //   ADVANCE := day:i32 record_count:u32 record*
 //     record := record_id:u64 num_values:u16 (value_len:u32 value:bytes aux:u32)*
 //   STATS   := (empty)
@@ -32,6 +33,8 @@
 //   PROBE/SCAN reply := result stats entry_count:u32 entry*
 //     stats  := accessed:u32 skipped:u32 unhealthy:u32 failed:u32
 //               fallbacks:u32 entries_returned:u64
+//               (entries_returned = entry_count; a capped SCAN counts only
+//               the constituents it read before the cap)
 //     entry  := record_id:u64 day:i32 aux:u32
 //   ADVANCE reply    := result current_day:i32
 //   STATS reply      := result probes:u64 scans:u64 days_advanced:u64
@@ -112,9 +115,12 @@ struct ProbeRequest {
 
 struct ScanRequest {
   DayRange range;
-  /// Entries after which the server truncates the reply with kPartialResult
-  /// (a transport guard, not a query semantic). 0 asks for as many as fit in
-  /// one reply frame; the server never sends more than kMaxReplyEntries.
+  /// The most entries the reply carries: the first max_entries of the scan,
+  /// in scan order. When more entries lie in range the reply says
+  /// kPartialResult. The server stops the scan one entry past the cap, so a
+  /// capped SCAN costs work in proportion to its cap, not to the days it
+  /// spans. 0 asks for as many as fit in one reply frame; the server never
+  /// sends more than kMaxReplyEntries.
   uint32_t max_entries = 0;
 };
 

@@ -209,6 +209,7 @@ void ServerCore::ServeProbe(Tenant* tenant, const Frame& frame,
                                      " entries");
     }
   }
+  reply.stats.entries_returned = reply.entries.size();
   // kPartialResult still carries the entries degraded serving could
   // assemble; anything else carries no body.
   reply.result = ToWireResult(status);
@@ -231,22 +232,21 @@ void ServerCore::ServeScan(Tenant* tenant, const Frame& frame,
   const uint32_t cap = request.max_entries == 0
                            ? kMaxReplyEntries
                            : std::min(request.max_entries, kMaxReplyEntries);
+  // Scanning one entry past the cap tells whether the reply is complete,
+  // and the scan reads no more than that one entry needs.
   QueryReply reply;
-  bool truncated = false;
   status = tenant->service->TimedSegmentScan(
       request.range,
-      [&](const Value&, const Entry& entry) {
-        if (reply.entries.size() >= cap) {
-          truncated = true;
-          return;
-        }
-        reply.entries.push_back(entry);
-      },
-      &reply.stats);
-  if (status.ok() && truncated) {
-    status = Status::PartialResult("scan truncated at " +
-                                   std::to_string(cap) + " entries");
+      [&](const Value&, const Entry& entry) { reply.entries.push_back(entry); },
+      &reply.stats, uint64_t{cap} + 1);
+  if (reply.entries.size() > cap) {
+    reply.entries.resize(cap);
+    if (status.ok()) {
+      status = Status::PartialResult("scan truncated at " +
+                                     std::to_string(cap) + " entries");
+    }
   }
+  reply.stats.entries_returned = reply.entries.size();
   reply.result = ToWireResult(status);
   if (!reply.result.has_body()) {
     errors_returned_.fetch_add(1, std::memory_order_relaxed);

@@ -52,6 +52,16 @@ int Args::GetInt(const std::string& key, int fallback) const {
   return value;
 }
 
+int Args::GetInt(const std::string& key, int fallback, int lo,
+                 int hi) const {
+  const int value = GetInt(key, fallback);
+  if (Has(key) && (value < lo || value > hi)) {
+    BadValue(key, "an integer in [" + std::to_string(lo) + ", " +
+                      std::to_string(hi) + "]");
+  }
+  return value;
+}
+
 uint64_t Args::GetU64(const std::string& key, uint64_t fallback) const {
   auto it = values_.find(key);
   if (it == values_.end()) return fallback;
@@ -90,7 +100,7 @@ std::vector<std::string> Args::Unknown(
   return unknown;
 }
 
-void Args::BadValue(const std::string& key, const char* want) const {
+void Args::BadValue(const std::string& key, const std::string& want) const {
   std::cerr << program_ << ": --" << key << "='" << Get(key, "")
             << "' is not " << want << "\n";
   std::exit(2);

@@ -28,6 +28,9 @@ class Args {
   /// out-of-range value is a usage error: the getter prints it to stderr and
   /// exits the process with status 2.
   int GetInt(const std::string& key, int fallback) const;
+  /// GetInt that also rejects a value outside [lo, hi]; the fallback is not
+  /// checked.
+  int GetInt(const std::string& key, int fallback, int lo, int hi) const;
   uint64_t GetU64(const std::string& key, uint64_t fallback) const;
   double GetDouble(const std::string& key, double fallback) const;
   /// "true" or "1" (and a bare `--key`) is true, "false" or "0" is false.
@@ -42,7 +45,8 @@ class Args {
       const std::vector<std::string>& allowed) const;
 
  private:
-  [[noreturn]] void BadValue(const std::string& key, const char* want) const;
+  [[noreturn]] void BadValue(const std::string& key,
+                             const std::string& want) const;
 
   std::string program_;
   std::map<std::string, std::string> values_;

@@ -138,9 +138,12 @@ Status WaveIndex::IndexProbe(const Value& value, std::vector<Entry>* out,
 
 Status WaveIndex::TimedSegmentScan(const DayRange& range,
                                    const EntryCallback& callback,
-                                   QueryStats* stats) const {
+                                   QueryStats* stats, uint64_t limit) const {
   QueryStats local;
   for (const auto& constituent : constituents_) {
+    // A spent limit ends the scan: later constituents are neither read nor
+    // counted.
+    if (local.entries_returned == limit) break;
     if (!range.Intersects(constituent->time_set())) {
       ++local.indexes_skipped;
       continue;
@@ -151,10 +154,12 @@ Status WaveIndex::TimedSegmentScan(const DayRange& range,
     }
     ++local.indexes_accessed;
     const Status status = constituent->TimedScan(
-        range, [&](const Value& v, const Entry& e) {
+        range,
+        [&](const Value& v, const Entry& e) {
           ++local.entries_returned;
           callback(v, e);
-        });
+        },
+        limit - local.entries_returned);
     if (CountsAsFailed(status)) {
       // Entries already delivered before the failure stand (scans stream,
       // and every delivered batch passed checksum verification); the rest

@@ -13,7 +13,9 @@
 namespace wavekit {
 
 /// \brief Per-query statistics (how much pruning the time-sets enabled, and
-/// how degraded the answer is).
+/// how degraded the answer is). A scan that reaches its entry limit stops
+/// there: the constituents after the one it stopped in are not counted in
+/// any field.
 struct QueryStats {
   /// Constituents whose time-set intersected the query range (and were read).
   int indexes_accessed = 0;
@@ -89,8 +91,16 @@ class WaveIndex {
 
   /// TimedSegmentScan(Theta, T1, T2): visits every entry inserted within
   /// `range`, scanning every constituent whose cluster intersects it.
+  ///
+  /// With a `limit`, at most `limit` entries are visited: the first `limit`
+  /// of the unlimited scan, in the same order. Each constituent scan gets
+  /// the budget the ones before it left (ConstituentIndex::TimedScan sizes
+  /// its reads to it), and once the budget is spent no further constituent
+  /// is read or counted in `stats`. A caller that wants to know whether
+  /// more than K entries exist passes K + 1.
   Status TimedSegmentScan(const DayRange& range, const EntryCallback& callback,
-                          QueryStats* stats = nullptr) const;
+                          QueryStats* stats = nullptr,
+                          uint64_t limit = kNoEntryLimit) const;
 
   /// SegmentScan: TimedSegmentScan over (-inf, +inf).
   Status SegmentScan(const EntryCallback& callback,

@@ -582,13 +582,13 @@ Status WaveService::IndexProbe(const Value& value, std::vector<Entry>* out,
 
 Status WaveService::TimedSegmentScan(const DayRange& range,
                                      const EntryCallback& callback,
-                                     QueryStats* stats) const {
+                                     QueryStats* stats, uint64_t limit) const {
   std::shared_ptr<const WaveIndex> snapshot = Snapshot();
   if (snapshot == nullptr) {
     return Status::FailedPrecondition("service not started");
   }
   const uint64_t start = clock_->NowMicros();
-  Status status = snapshot->TimedSegmentScan(range, callback, stats);
+  Status status = snapshot->TimedSegmentScan(range, callback, stats, limit);
   if (status.IsPartialResult()) instruments_.partial_results->Increment();
   instruments_.scans->Increment();
   instruments_.scan_latency_us->Record(MicrosSince(start));

@@ -231,8 +231,10 @@ class WaveService {
                          QueryStats* stats = nullptr) const;
   Status IndexProbe(const Value& value, std::vector<Entry>* out,
                     QueryStats* stats = nullptr) const;
+  /// `limit` caps the entries visited (WaveIndex::TimedSegmentScan).
   Status TimedSegmentScan(const DayRange& range, const EntryCallback& callback,
-                          QueryStats* stats = nullptr) const;
+                          QueryStats* stats = nullptr,
+                          uint64_t limit = kNoEntryLimit) const;
 
   /// The newest day readers may see (monotonic; readers racing with
   /// AdvanceDay may still see the previous snapshot).

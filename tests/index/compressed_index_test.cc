@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
 #include <memory>
@@ -141,6 +142,54 @@ TEST_F(CompressedIndexTest, TimedProbeAndScanFilterCompressedBuckets) {
   }));
   ReferenceIndex::Sort(&scanned);
   EXPECT_EQ(scanned, reference.ScanAll(range.lo, range.hi));
+
+  // Limited scans over the auto build and a raw build of the same days, on
+  // a filtered and a covered range: each delivers exactly the first `limit`
+  // entries of the unlimited scan, in order, and never reads more device
+  // bytes than it; a one-entry scan of these multi-bucket packed indexes
+  // reads fewer.
+  ASSERT_LT(packed->CodecStats().buckets[static_cast<size_t>(Codec::kRaw)],
+            packed->distinct_values());
+  ASSERT_OK_AND_ASSIGN(
+      auto raw, IndexBuilder::BuildPacked(store_.device(), store_.allocator(),
+                                          {}, Pointers(batches), "raw"));
+  using Pair = std::pair<Value, Entry>;
+  uint64_t bytes_read = 0;
+  auto scan = [&](const ConstituentIndex& index, const DayRange& scanned_range,
+                  uint64_t limit) {
+    std::vector<Pair> out;
+    const uint64_t before = store_.device()->total().bytes_read;
+    EXPECT_OK(index.TimedScan(
+        scanned_range,
+        [&](const Value& v, const Entry& e) { out.emplace_back(v, e); },
+        limit));
+    bytes_read = store_.device()->total().bytes_read - before;
+    return out;
+  };
+  for (const ConstituentIndex* index : {packed.get(), raw.get()}) {
+    for (const DayRange& scanned_range : {range, DayRange::All()}) {
+      const std::vector<Pair> all = scan(*index, scanned_range, kNoEntryLimit);
+      const uint64_t all_bytes = bytes_read;
+      size_t mid_bucket = all.size() / 2;
+      while (mid_bucket < all.size() &&
+             all[mid_bucket - 1].first != all[mid_bucket].first) {
+        ++mid_bucket;
+      }
+      ASSERT_LT(mid_bucket, all.size());
+      for (const uint64_t limit :
+           {uint64_t{1}, uint64_t{mid_bucket}, uint64_t{all.size()},
+            uint64_t{all.size() + 1}}) {
+        const std::vector<Pair> prefix(
+            all.begin(), all.begin() + std::min<uint64_t>(limit, all.size()));
+        EXPECT_EQ(scan(*index, scanned_range, limit), prefix)
+            << index->name() << " limit " << limit;
+        EXPECT_LE(bytes_read, all_bytes) << index->name() << " limit " << limit;
+        if (limit == 1) {
+          EXPECT_LT(bytes_read, all_bytes) << index->name();
+        }
+      }
+    }
+  }
 }
 
 TEST_F(CompressedIndexTest, SerialAndParallelBuildsAreByteIdentical) {

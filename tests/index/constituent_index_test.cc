@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "testing/test_env.h"
 
@@ -113,11 +116,38 @@ TEST_F(ConstituentIndexTest, TimedScanFilters) {
     reference.Add(batch);
     ASSERT_OK(index->AddBatch(batch));
   }
-  std::vector<Entry> scanned;
-  ASSERT_OK(index->TimedScan(DayRange{4, 6}, [&](const Value&, const Entry& e) {
-    scanned.push_back(e);
-  }));
-  EXPECT_EQ(Sorted(scanned), reference.ScanAll(4, 6));
+  using Pair = std::pair<Value, Entry>;
+  auto scan = [&](const DayRange& range, uint64_t limit) {
+    std::vector<Pair> out;
+    EXPECT_OK(index->TimedScan(
+        range, [&](const Value& v, const Entry& e) { out.emplace_back(v, e); },
+        limit));
+    return out;
+  };
+  for (const DayRange& range : {DayRange{4, 6}, DayRange::All()}) {
+    const std::vector<Pair> all = scan(range, kNoEntryLimit);
+    std::vector<Entry> scanned;
+    for (const Pair& pair : all) scanned.push_back(pair.second);
+    EXPECT_EQ(Sorted(scanned), reference.ScanAll(range.lo, range.hi));
+
+    // A limited scan delivers exactly the first `limit` entries of the
+    // unlimited one, in order: one entry, a limit whose last entry is not
+    // the last of its bucket, the exact total, and one past it.
+    size_t mid_bucket = all.size() / 2;
+    while (mid_bucket < all.size() &&
+           all[mid_bucket - 1].first != all[mid_bucket].first) {
+      ++mid_bucket;
+    }
+    ASSERT_LT(mid_bucket, all.size());
+    for (const uint64_t limit :
+         {uint64_t{1}, uint64_t{mid_bucket}, uint64_t{all.size()},
+          uint64_t{all.size() + 1}}) {
+      const std::vector<Pair> prefix(
+          all.begin(), all.begin() + std::min<uint64_t>(limit, all.size()));
+      EXPECT_EQ(scan(range, limit), prefix) << "limit " << limit;
+    }
+    EXPECT_TRUE(scan(range, 0).empty());
+  }
 }
 
 TEST_F(ConstituentIndexTest, DeleteDaysRemovesAndShrinks) {

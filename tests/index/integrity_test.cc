@@ -291,6 +291,48 @@ TEST_F(TrustBoundaryTest, RotBeneathTrustedBlocksIsServedCleanUntilRefill) {
   EXPECT_GE(stats_.corruptions_detected.load(), 1u);
 }
 
+TEST_F(TrustBoundaryTest, LimitedScanTrustsOnlyTheBucketsItChecked) {
+  // Layout: alpha, beta, day1, day2, day3, gamma, 6 entries each. Day 1 is
+  // in 2 entries of alpha, beta and gamma and in all 6 of day1. A scan of
+  // day 1 limited to 10 entries reads {alpha, beta} (its first batch, sized
+  // to 10 entries), then {day1, day2, day3, gamma} (double that), and stops
+  // in day1: the last three buckets of that batch are read but never
+  // checksummed.
+  auto index = BuildCachedIndex();
+  Rot(LiveExtent(*index, "gamma"));  // the cache is empty: reads see the rot
+  const DayRange day1{1, 1};
+  std::vector<Entry> first_ten;
+  {
+    // The expected entries: the first 10 of an unlimited scan of a clean
+    // copy of the index.
+    auto clean = BuildIndex();
+    ASSERT_OK(clean->TimedScan(
+        day1, [&](const Value&, const Entry& e) { first_ten.push_back(e); }));
+    ASSERT_EQ(first_ten.size(), 12u);
+    first_ten.resize(10);
+  }
+  const uint64_t verified_before = stats_.verified_buckets.load();
+  // Pass 1 fills the cache from the medium, the rotten gamma included; pass
+  // 2 verifies the resident bytes it checks and marks them.
+  for (int pass = 0; pass < 2; ++pass) {
+    std::vector<Entry> limited;
+    ASSERT_OK(index->TimedScan(
+        day1, [&](const Value&, const Entry& e) { limited.push_back(e); },
+        10));
+    EXPECT_EQ(limited, first_ten);
+  }
+  EXPECT_FALSE(index->corrupt());
+  EXPECT_EQ(stats_.verified_buckets.load() - verified_before, 2u * (2 + 1))
+      << "only alpha, beta and day1 were checked, in each pass";
+
+  // Had the stopped batch marked its whole extent verified, every byte of
+  // the index would now be trusted and this scan would deliver gamma's
+  // rotten entries without a check.
+  Status status = index->Scan([](const Value&, const Entry&) {});
+  EXPECT_TRUE(status.IsDataLoss()) << status;
+  EXPECT_TRUE(index->corrupt());
+}
+
 TEST_F(IntegrityTest, CloneOfCleanIndexVerifies) {
   auto index = BuildIndex();
   ASSERT_OK_AND_ASSIGN(auto clone, index->Clone("I0-copy"));

@@ -154,14 +154,32 @@ TEST(ServerCoreTest, PipelinedRequestsYieldOrderedReplies) {
 
 TEST(ServerCoreTest, ScanCapTruncatesWithPartialResult) {
   TestServer server;
-  ScanRequest request;
-  request.range = DayRange::All();
-  request.max_entries = 5;  // the tenant holds more than 5 entries
-  const Frame reply = Serve(&server, EncodeScanRequest(0, 1, request));
-  QueryReply decoded;
-  ASSERT_OK(DecodeQueryReply(reply.payload, &decoded));
-  EXPECT_EQ(decoded.result.code, StatusCode::kPartialResult);
-  EXPECT_EQ(decoded.entries.size(), 5u);
+  auto scan = [&](uint32_t max_entries) {
+    ScanRequest request;
+    request.range = DayRange::All();
+    request.max_entries = max_entries;
+    const Frame reply = Serve(&server, EncodeScanRequest(0, 1, request));
+    QueryReply decoded;
+    EXPECT_OK(DecodeQueryReply(reply.payload, &decoded));
+    return decoded;
+  };
+  const QueryReply uncapped = scan(0);
+  ASSERT_EQ(uncapped.result.code, StatusCode::kOk);
+  const uint32_t total = static_cast<uint32_t>(uncapped.entries.size());
+  ASSERT_GT(total, 5u);
+
+  // The stats describe the reply, not the entries the scan visited.
+  for (const uint32_t cap : {5u, total - 1, total}) {
+    const QueryReply capped = scan(cap);
+    EXPECT_EQ(capped.result.code,
+              cap < total ? StatusCode::kPartialResult : StatusCode::kOk)
+        << "cap " << cap;
+    EXPECT_EQ(capped.entries,
+              std::vector<Entry>(uncapped.entries.begin(),
+                                 uncapped.entries.begin() + cap))
+        << "cap " << cap;
+    EXPECT_EQ(capped.stats.entries_returned, cap);
+  }
 }
 
 TEST(ServerCoreTest, UncappedScanReplyFitsOneFrame) {
@@ -219,6 +237,7 @@ TEST(ServerCoreTest, UncappedProbeReplyFitsOneFrame) {
             "probe truncated at " + std::to_string(kMaxReplyEntries) +
                 " entries");
   EXPECT_EQ(decoded.entries.size(), kMaxReplyEntries);
+  EXPECT_EQ(decoded.stats.entries_returned, kMaxReplyEntries);
 }
 
 TEST(ServerCoreTest, RateLimitIsEnforcedOnInjectedClock) {

@@ -58,5 +58,24 @@ TEST(ArgsTest, MalformedValuesExitWithUsageError) {
   EXPECT_EXIT(args.GetBool("on"), usage_error, "--on='yes'");
 }
 
+TEST(ArgsTest, RangedIntRejectsValuesOutsideItsRange) {
+  const Args args = Parse({"waved", "--port=70000", "--tenants=-5",
+                           "--records=-1", "--max=0", "--low=1",
+                           "--high=65535"});
+  EXPECT_EQ(args.GetInt("max", 20, 0, 100), 0);
+  EXPECT_EQ(args.GetInt("low", 4, 1, 65535), 1);
+  EXPECT_EQ(args.GetInt("high", 0, 0, 65535), 65535);
+  EXPECT_EQ(args.GetInt("absent", 7, 1, 3), 7) << "the fallback is unchecked";
+  const auto usage_error = ::testing::ExitedWithCode(2);
+  EXPECT_EXIT(args.GetInt("port", 8787, 0, 65535), usage_error,
+              "--port='70000' is not an integer in \\[0, 65535\\]");
+  EXPECT_EXIT(args.GetInt("tenants", 4, 1, 65535), usage_error,
+              "--tenants='-5'");
+  EXPECT_EXIT(args.GetInt("records", 200, 0, 1 << 30), usage_error,
+              "--records='-1'");
+  EXPECT_EXIT(args.GetInt("low", 0, 2, 3), usage_error, "--low='1'");
+  EXPECT_EXIT(args.GetInt("high", 0, 0, 65534), usage_error, "--high=");
+}
+
 }  // namespace
 }  // namespace wavekit

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "index/index_builder.h"
 #include "testing/test_env.h"
 
@@ -87,6 +90,33 @@ TEST_F(WaveIndexTest, TimedSegmentScanPrunesAndFilters) {
   EXPECT_EQ(scanned, reference_.ScanAll(2, 3));
   EXPECT_EQ(stats.indexes_accessed, 2);
   EXPECT_EQ(stats.indexes_skipped, 1);
+}
+
+TEST_F(WaveIndexTest, LimitedScanStopsInsideTheConstituentItRunsOutIn) {
+  BuildWave({{1, 2}, {3, 4}, {5}});  // 24, 24 and 12 entries
+  using Pair = std::pair<Value, Entry>;
+  std::vector<Pair> all;
+  ASSERT_OK(wave_.SegmentScan(
+      [&](const Value& v, const Entry& e) { all.emplace_back(v, e); }));
+  ASSERT_EQ(all.size(), 60u);
+
+  const uint64_t limit = 24 + 3;  // runs out 3 entries into the second
+  std::vector<Pair> limited;
+  QueryStats stats;
+  const uint64_t bytes_before = store_.device()->total().bytes_read;
+  ASSERT_OK(wave_.TimedSegmentScan(
+      DayRange::All(),
+      [&](const Value& v, const Entry& e) { limited.emplace_back(v, e); },
+      &stats, limit));
+  const uint64_t bytes_read =
+      store_.device()->total().bytes_read - bytes_before;
+  EXPECT_EQ(limited, std::vector<Pair>(all.begin(), all.begin() + limit));
+  EXPECT_EQ(stats.entries_returned, limit);
+  // The third constituent is neither read nor counted.
+  EXPECT_EQ(stats.indexes_accessed, 2);
+  EXPECT_EQ(stats.indexes_skipped, 0);
+  EXPECT_LE(bytes_read, wave_.constituents()[0]->allocated_bytes() +
+                            wave_.constituents()[1]->allocated_bytes());
 }
 
 TEST_F(WaveIndexTest, ProbeForMissingValueIsEmpty) {

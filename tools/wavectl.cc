@@ -100,6 +100,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -183,8 +184,9 @@ int RunExperiment(const Args& args) {
                         ? sim::WorkloadKind::kTpcd
                         : sim::WorkloadKind::kNetnews;
   config.netnews.articles_per_day =
-      static_cast<uint64_t>(args.GetInt("records", 100));
-  config.tpcd.rows_per_day = static_cast<uint64_t>(args.GetInt("records", 500));
+      static_cast<uint64_t>(args.GetInt("records", 100, 0, INT_MAX));
+  config.tpcd.rows_per_day =
+      static_cast<uint64_t>(args.GetInt("records", 500, 0, INT_MAX));
   config.days_to_run = args.GetInt("days", 3 * config.scheme_config.window);
   config.warmup_days =
       std::min(config.scheme_config.window, config.days_to_run / 2);
@@ -195,8 +197,9 @@ int RunExperiment(const Args& args) {
   config.paper = CaseByName(args.Get("case", "scam"));
   config.num_disks = args.GetInt("disks", 1);
   if (config.scheme == SchemeKind::kKnownBoundWata) {
-    config.scheme_config.size_bound_entries = static_cast<uint64_t>(
-        args.GetInt("records", 100) * 60 * config.scheme_config.window);
+    config.scheme_config.size_bound_entries =
+        config.netnews.articles_per_day * 60 *
+        static_cast<uint64_t>(config.scheme_config.window);
   }
 
   auto run = sim::ExperimentDriver::Run(config);
@@ -381,14 +384,15 @@ Result<std::unique_ptr<WaveService>> ServeSyntheticWorkload(
   options.config.window = args.GetInt("window", 7);
   options.config.num_indexes = args.GetInt("indexes", 3);
   const uint64_t records =
-      static_cast<uint64_t>(args.GetInt("records", 200));
+      static_cast<uint64_t>(args.GetInt("records", 200, 0, INT_MAX));
   if (options.scheme == SchemeKind::kKnownBoundWata) {
     options.config.size_bound_entries =
         records * 60 * static_cast<uint64_t>(options.config.window);
   }
   WAVEKIT_ASSIGN_OR_RETURN(options.config.codec,
                            CodecModeFromName(args.Get("codec", "raw")));
-  options.cache_blocks = static_cast<size_t>(args.GetInt("cache-blocks", 1024));
+  options.cache_blocks =
+      static_cast<size_t>(args.GetInt("cache-blocks", 1024, 0, INT_MAX));
   options.storage_backend = args.Get("backend", "memory");
   options.storage_path = args.Get("path", "");
   options.direct_io = args.GetBool("direct");
@@ -463,8 +467,8 @@ int Trace(const Args& args) {
   obs::MetricsRegistry registry;
   auto service = ServeSyntheticWorkload(
       args, &registry, args.GetDouble("sample", 1.0),
-      static_cast<size_t>(args.GetInt("ring", 256)),
-      static_cast<uint64_t>(args.GetInt("slow-us", 0)));
+      static_cast<size_t>(args.GetInt("ring", 256, 0, INT_MAX)),
+      static_cast<uint64_t>(args.GetInt("slow-us", 0, 0, INT_MAX)));
   if (!service.ok()) {
     std::cerr << service.status() << "\n";
     return 1;
@@ -600,8 +604,8 @@ int ExportTrace(const Args& args) {
   obs::MetricsRegistry registry;
   auto service = ServeSyntheticWorkload(
       args, &registry, args.GetDouble("sample", 1.0),
-      static_cast<size_t>(args.GetInt("ring", 1024)),
-      static_cast<uint64_t>(args.GetInt("slow-us", 0)));
+      static_cast<size_t>(args.GetInt("ring", 1024, 0, INT_MAX)),
+      static_cast<uint64_t>(args.GetInt("slow-us", 0, 0, INT_MAX)));
   if (!service.ok()) {
     std::cerr << service.status() << "\n";
     return 1;
@@ -633,7 +637,8 @@ int ExportTrace(const Args& args) {
 
 int Events(const Args& args) {
   obs::MetricsRegistry registry;
-  const size_t ring = static_cast<size_t>(args.GetInt("ring", 256));
+  const size_t ring =
+      static_cast<size_t>(args.GetInt("ring", 256, 0, INT_MAX));
   const std::string jsonl = args.Get("jsonl", "");
   auto service = ServeSyntheticWorkload(
       args, &registry, /*sample_rate=*/0.0, /*ring_capacity=*/256,
@@ -680,7 +685,8 @@ int Events(const Args& args) {
 int ServeMetrics(const Args& args) {
   obs::MetricsRegistry registry;
   const uint64_t interval_us =
-      static_cast<uint64_t>(args.GetInt("interval-ms", 1000)) * 1000;
+      static_cast<uint64_t>(args.GetInt("interval-ms", 1000, 0, INT_MAX)) *
+      1000;
   auto service = ServeSyntheticWorkload(
       args, &registry, /*sample_rate=*/1.0, /*ring_capacity=*/256,
       /*slow_op_threshold_us=*/0, [&](WaveService::Options* options) {
@@ -697,7 +703,7 @@ int ServeMetrics(const Args& args) {
   WaveService* svc = service.ValueOrDie().get();
 
   obs::HttpExporter::Options http;
-  http.port = static_cast<uint16_t>(args.GetInt("port", 9464));
+  http.port = static_cast<uint16_t>(args.GetInt("port", 9464, 0, 65535));
   http.registry = &registry;
   http.collector = svc->collector();
   http.events = svc->events();
@@ -988,10 +994,13 @@ int BenchIo(const Args& args) {
     std::remove(path.c_str());
   }
   const uint64_t size_bytes =
-      static_cast<uint64_t>(args.GetInt("size-mb", 64)) << 20;
-  const uint64_t block = static_cast<uint64_t>(args.GetInt("block", 4096));
-  const size_t batch = static_cast<size_t>(args.GetInt("batch", 64));
-  const uint64_t ops = static_cast<uint64_t>(args.GetInt("ops", 2000));
+      static_cast<uint64_t>(args.GetInt("size-mb", 64, 0, INT_MAX)) << 20;
+  const uint64_t block =
+      static_cast<uint64_t>(args.GetInt("block", 4096, 0, INT_MAX));
+  const size_t batch =
+      static_cast<size_t>(args.GetInt("batch", 64, 0, INT_MAX));
+  const uint64_t ops =
+      static_cast<uint64_t>(args.GetInt("ops", 2000, 0, INT_MAX));
   if (block == 0 || size_bytes < block || batch == 0 || ops == 0) {
     std::cerr << "bench-io: need size-mb*MiB >= block > 0, batch > 0, "
                  "ops > 0\n";
@@ -1175,8 +1184,9 @@ int BenchIo(const Args& args) {
 Result<std::unique_ptr<serve::Client>> ConnectToServer(const Args& args) {
   serve::Client::Options options;
   options.host = args.Get("host", "127.0.0.1");
-  options.port = static_cast<uint16_t>(args.GetInt("port", 8787));
-  options.tenant_id = static_cast<uint16_t>(args.GetInt("tenant", 0));
+  options.port = static_cast<uint16_t>(args.GetInt("port", 8787, 0, 65535));
+  options.tenant_id =
+      static_cast<uint16_t>(args.GetInt("tenant", 0, 0, 65535));
   return serve::Client::Connect(options);
 }
 
@@ -1240,8 +1250,9 @@ int RemoteScan(const Args& args) {
     std::cerr << client.status() << "\n";
     return 1;
   }
-  auto reply = (*client)->Scan(RangeFromArgs(args),
-                               static_cast<uint32_t>(args.GetInt("max", 20)));
+  auto reply = (*client)->Scan(
+      RangeFromArgs(args),
+      static_cast<uint32_t>(args.GetInt("max", 20, 0, INT_MAX)));
   if (!reply.ok()) {
     std::cerr << reply.status() << "\n";
     return 1;
@@ -1273,9 +1284,11 @@ int RemoteAdvance(const Args& args) {
     day = stats->current_day + 1;
   }
   workload::NetnewsConfig config;
-  config.articles_per_day = static_cast<uint64_t>(args.GetInt("records", 200));
+  config.articles_per_day =
+      static_cast<uint64_t>(args.GetInt("records", 200, 0, INT_MAX));
   config.seed = static_cast<uint64_t>(args.GetInt("seed", 42)) +
-                static_cast<uint64_t>(args.GetInt("tenant", 0)) * 1000003u;
+                static_cast<uint64_t>(args.GetInt("tenant", 0, 0, 65535)) *
+                    1000003u;
   workload::NetnewsGenerator netnews(config);
   auto reply = (*client)->Advance(netnews.GenerateDay(day));
   if (!reply.ok()) {

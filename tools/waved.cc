@@ -18,14 +18,15 @@
 // plus the wavekit_server_* serving counters — is re-exported over HTTP on
 // that port (/metrics, /metrics.json, /healthz; obs/http_exporter.h).
 // --metrics-port=0 picks an ephemeral port; --no-metrics disables the
-// exporter entirely. An unknown flag or a malformed value exits with
-// status 2.
+// exporter entirely. An unknown flag, a malformed value or one out of its
+// range (a port past 65535, --tenants outside 1..65535, a negative count)
+// exits with status 2.
 //
 // Prints one line when ready:
 //   waved ready port=<p> metrics_port=<mp> tenants=<n> pid=<pid>
 // (perfbench and the CI smoke test parse it.)
 
-#include <algorithm>
+#include <climits>
 #include <csignal>
 #include <iostream>
 #include <memory>
@@ -65,12 +66,14 @@ Result<std::unique_ptr<WaveService>> MakeTenant(
                            CodecModeFromName(args.Get("codec", "raw")));
   options.config.window = args.GetInt("window", 7);
   options.config.num_indexes = args.GetInt("indexes", 3);
-  const uint64_t records = static_cast<uint64_t>(args.GetInt("records", 200));
+  const uint64_t records =
+      static_cast<uint64_t>(args.GetInt("records", 200, 0, INT_MAX));
   if (options.scheme == SchemeKind::kKnownBoundWata) {
     options.config.size_bound_entries =
         records * 60 * static_cast<uint64_t>(options.config.window);
   }
-  options.cache_blocks = static_cast<size_t>(args.GetInt("cache-blocks", 1024));
+  options.cache_blocks =
+      static_cast<size_t>(args.GetInt("cache-blocks", 1024, 0, INT_MAX));
   options.metrics_registry = registry;
   options.event_ring_capacity = 256;
   WAVEKIT_ASSIGN_OR_RETURN(std::unique_ptr<WaveService> service,
@@ -104,28 +107,27 @@ int Serve(const Args& args) {
     return 2;
   }
 
-  const int tenants = std::max(1, args.GetInt("tenants", 4));
-  if (tenants > 65535) {
-    std::cerr << "waved: --tenants must fit a uint16 tenant id\n";
-    return 2;
-  }
+  // Tenant ids are uint16, so at most 65535 tenants.
+  const int tenants = args.GetInt("tenants", 4, 1, 65535);
 
   // Read every flag of the loop and the exporter before the tenants are
   // built, so a malformed one fails fast.
   serve::ServerLoop::Options loop_options;
   loop_options.bind_address = args.Get("bind", "127.0.0.1");
-  loop_options.port = static_cast<uint16_t>(args.GetInt("port", 8787));
+  loop_options.port =
+      static_cast<uint16_t>(args.GetInt("port", 8787, 0, 65535));
   loop_options.idle_timeout_ms = args.GetInt("idle-timeout-ms", 30'000);
   const bool export_metrics = !args.GetBool("no-metrics");
   const auto exporter_port =
-      static_cast<uint16_t>(args.GetInt("metrics-port", 0));
+      static_cast<uint16_t>(args.GetInt("metrics-port", 0, 0, 65535));
 
   obs::MetricsRegistry registry;
 
   serve::ServerCore::Options core_options;
   core_options.tenant_rate_limit_rps = args.GetDouble("rate-limit", 0);
   core_options.tenant_rate_limit_burst = args.GetDouble("burst", 0);
-  core_options.max_sessions = static_cast<size_t>(args.GetInt("max-sessions", 0));
+  core_options.max_sessions =
+      static_cast<size_t>(args.GetInt("max-sessions", 0, 0, INT_MAX));
   core_options.async_advance = args.GetBool("async-advance");
   core_options.metrics_registry = &registry;
   serve::ServerCore core(core_options);
