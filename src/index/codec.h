@@ -4,25 +4,21 @@
 // of the paper's cost model), so shrinking on-device bucket bytes is a
 // direct speedup on both the modeled disk and the real backends. A bucket
 // holds `count` 16-byte entries; a codec re-encodes that entry sequence as a
-// smaller byte string. Three codecs exist:
+// smaller byte string. Two codecs exist:
 //
 //   kRaw     — the identity layout: count * kEntrySize bytes, appendable in
 //              place. The only codec simple (mutable) constituents use.
-//   kDelta   — columnar delta coding: zigzag deltas of record_id and day as
-//              LEB128 varints, aux as plain varints. Wins on packed buckets
-//              whose record ids arrive roughly sorted (the common case: day
-//              clusters assign ids in insertion order).
 //   kBitPack — columnar fixed-width bit packing: per column a base (min)
-//              and a bit width, then count fields of (value - base). Wins
-//              when values sit in a narrow range but are not sorted.
+//              and a bit width, then count fields of (value - base). Packed
+//              buckets hold one day cluster of ids assigned in insertion
+//              order, so every column sits in a narrow range.
 //
 // Encoding is a pure function of the entry sequence — two builds of the same
 // bucket (serial or parallel) produce byte-identical extents, which the
-// deterministic sim harness and the serial-parity tests rely on. Selection
-// (`EncodeBucket` with CodecMode::kAuto) runs a cheap O(n) size probe per
-// candidate and encodes only the winner; a codec is chosen only when its
-// output is strictly smaller than raw, so kRaw remains the canonical form
-// for incompressible buckets.
+// deterministic sim harness and the serial-parity tests rely on. Under
+// CodecMode::kAuto, `EncodeBucket` prices the bitpack layout in one O(n)
+// pass and encodes it only when it is strictly smaller than raw, so kRaw
+// remains the canonical form for incompressible buckets.
 //
 // Decoding (`DecodeBucket`) is the trust boundary's companion: it must never
 // crash or overread on arbitrary bytes (fuzz_codec enforces this) and
@@ -46,35 +42,31 @@
 namespace wavekit {
 
 /// \brief On-device bucket layout identifier. Stable: persisted in
-/// checkpoint v4 bucket lines as a small integer.
+/// checkpoint v4 bucket lines as a small integer. Id 1 belonged to a retired
+/// varint layout and is rejected.
 enum class Codec : uint8_t {
   kRaw = 0,
-  kDelta = 1,
   kBitPack = 2,
 };
 
-/// Number of codec ids (for per-codec stats arrays).
-inline constexpr int kNumCodecs = 3;
+/// Every codec, in id order.
+inline constexpr Codec kAllCodecs[] = {Codec::kRaw, Codec::kBitPack};
 
 /// \brief Build-time codec policy for an index. kRaw disables compression
-/// entirely (every path byte-identical to pre-codec builds). kAuto probes
-/// kDelta and kBitPack per bucket and keeps the smaller iff it beats raw.
-/// The forced modes consider only that codec (still falling back to kRaw
-/// when it does not beat raw) — useful for benchmarks and the sim harness.
+/// entirely (every path byte-identical to pre-codec builds). kAuto stores a
+/// bucket as kBitPack exactly when that is strictly smaller than raw.
 enum class CodecMode : uint8_t {
   kRaw = 0,
   kAuto = 1,
-  kDelta = 2,
-  kBitPack = 3,
 };
 
 const char* CodecName(Codec codec);
 const char* CodecModeName(CodecMode mode);
 
-/// Parses "raw" / "auto" / "delta" / "bitpack"; InvalidArgument otherwise.
+/// Parses "raw" / "auto"; InvalidArgument otherwise.
 Result<CodecMode> CodecModeFromName(const std::string& name);
 
-/// Validates a persisted codec id; InvalidArgument if out of range.
+/// Validates a persisted codec id; InvalidArgument unless it names a codec.
 Result<Codec> CodecFromId(uint64_t id);
 
 /// \brief Result of encoding one bucket. For kRaw, `bytes` stays empty and
@@ -90,7 +82,7 @@ struct EncodedBucket {
 };
 
 /// \brief Encodes `entries[0..count)` under `mode`. Deterministic; returns
-/// kRaw (empty bytes) whenever no candidate beats the raw size strictly.
+/// kRaw (empty bytes) whenever bitpack does not beat the raw size strictly.
 EncodedBucket EncodeBucket(const Entry* entries, size_t count, CodecMode mode);
 
 /// \brief Decodes `size` stored bytes into exactly `count` entries at `out`

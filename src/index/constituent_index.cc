@@ -734,7 +734,8 @@ Status ConstituentIndex::Destroy() {
 ConstituentIndex::CodecBreakdown ConstituentIndex::CodecStats() const {
   CodecBreakdown breakdown;
   directory_.ForEach([&](const Value&, const BucketInfo& info) {
-    breakdown.buckets[static_cast<size_t>(info.codec)] += 1;
+    ++(info.codec == Codec::kRaw ? breakdown.raw_buckets
+                                 : breakdown.bitpack_buckets);
     breakdown.stored_bytes += info.stored_length();
     breakdown.uncompressed_bytes += uint64_t{info.count} * kEntrySize;
   });

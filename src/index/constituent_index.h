@@ -145,7 +145,8 @@ class ConstituentIndex {
   /// stored (on-device) bytes vs. the raw bytes the same entries would
   /// occupy. Directory metadata only, no device I/O.
   struct CodecBreakdown {
-    uint64_t buckets[kNumCodecs] = {};
+    uint64_t raw_buckets = 0;
+    uint64_t bitpack_buckets = 0;
     /// Live stored bytes (stored_length() summed; excludes kRaw slack).
     uint64_t stored_bytes = 0;
     /// The same entries at kEntrySize each.
@@ -157,6 +158,19 @@ class ConstituentIndex {
                  ? static_cast<double>(uncompressed_bytes) /
                        static_cast<double>(stored_bytes)
                  : 1.0;
+    }
+
+    /// Buckets stored under `codec`.
+    uint64_t buckets(Codec codec) const {
+      return codec == Codec::kRaw ? raw_buckets : bitpack_buckets;
+    }
+
+    CodecBreakdown& operator+=(const CodecBreakdown& other) {
+      raw_buckets += other.raw_buckets;
+      bitpack_buckets += other.bitpack_buckets;
+      stored_bytes += other.stored_bytes;
+      uncompressed_bytes += other.uncompressed_bytes;
+      return *this;
     }
   };
   CodecBreakdown CodecStats() const;

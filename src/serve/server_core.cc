@@ -197,10 +197,13 @@ void ServerCore::ServeProbe(Tenant* tenant, const Frame& frame,
                 status.message(), out);
     return;
   }
+  // The reply must fit one frame, however many entries the value has.
+  // Probing for one entry past the cap tells whether the reply is complete,
+  // and the probe reads no constituent after the one that reaches it.
   QueryReply reply;
   status = tenant->service->TimedIndexProbe(request.range, request.value,
-                                            &reply.entries, &reply.stats);
-  // The reply must fit one frame, however many entries the value has.
+                                            &reply.entries, &reply.stats,
+                                            uint64_t{kMaxReplyEntries} + 1);
   if (reply.entries.size() > kMaxReplyEntries) {
     reply.entries.resize(kMaxReplyEntries);
     if (status.ok()) {

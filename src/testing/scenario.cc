@@ -148,40 +148,6 @@ Scenario ScenarioGenerator::GenerateBitRot(uint64_t episode) const {
   return s;
 }
 
-namespace {
-
-// Draws the episode's codec mode from a stream of its own (offset past the
-// bit-rot stream at 1<<40) so neither Generate() nor GenerateBitRot() is
-// perturbed: the pre-codec episode traces stay byte-identical.
-CodecMode DrawCodec(uint64_t seed, uint64_t episode) {
-  Rng rng = Rng(seed).Fork((uint64_t{1} << 41) + episode);
-  // Mostly the production policy (auto); forced modes keep each codec's
-  // decode path under load even on shapes auto would not pick it for.
-  const uint64_t draw = rng.Uniform(4);
-  switch (draw) {
-    case 0:
-      return CodecMode::kDelta;
-    case 1:
-      return CodecMode::kBitPack;
-    default:
-      return CodecMode::kAuto;
-  }
-}
-
-}  // namespace
-
-Scenario ScenarioGenerator::GenerateCodec(uint64_t episode) const {
-  Scenario s = Generate(episode);
-  s.codec = DrawCodec(seed_, episode);
-  return s;
-}
-
-Scenario ScenarioGenerator::GenerateCodecBitRot(uint64_t episode) const {
-  Scenario s = GenerateBitRot(episode);
-  s.codec = DrawCodec(seed_, episode);
-  return s;
-}
-
 DayBatch MakeScenarioDay(const Scenario& scenario, Day day) {
   // Stream 2*day: day contents. Stream 2*day+1: that day's probe plan.
   // Both are pure functions of (workload_seed, day), so a shrunk scenario

@@ -76,8 +76,8 @@ struct Scenario {
   bool scan_each_day = true;
 
   /// Bucket codec policy for every index the episode builds. kRaw keeps the
-  /// classic byte layout; the codec episode family draws kAuto or a forced
-  /// codec, so probes/scans/heals run against compressed extents too.
+  /// classic byte layout; the codec episode family sets kAuto, so
+  /// probes/scans/heals run against compressed extents too.
   CodecMode codec = CodecMode::kRaw;
 
   // Fault plan.
@@ -107,17 +107,6 @@ class ScenarioGenerator {
   /// from an independently forked stream. Pure corruption episodes: every
   /// day commits, then rot strikes and must be detected + healed.
   Scenario GenerateBitRot(uint64_t episode) const;
-
-  /// The codec variant of episode `episode`: the same base scenario with a
-  /// per-episode codec mode (kAuto or one forced codec) drawn from an
-  /// independently forked stream. The oracle cross-check is exact, so these
-  /// episodes prove compressed probes/scans return byte-identical answers.
-  Scenario GenerateCodec(uint64_t episode) const;
-
-  /// GenerateBitRot with the codec dimension layered on: rot strikes land on
-  /// compressed extents too, and must still be detected (CRC over the stored
-  /// bytes, or a decode failure behind it) and healed within the episode.
-  Scenario GenerateCodecBitRot(uint64_t episode) const;
 
   uint64_t seed() const { return seed_; }
 

@@ -42,6 +42,12 @@ std::string Sanitize(std::string s) {
   return s;
 }
 
+// The sim_torture flags that select `family` (" --codec --bitrot", ...).
+std::string FamilyFlags(ScenarioFamily family) {
+  return std::string(family.codec ? " --codec" : "") +
+         (family.bitrot ? " --bitrot" : "");
+}
+
 std::string Hex32(uint32_t v) {
   char buf[9];
   std::snprintf(buf, sizeof(buf), "%08x", v);
@@ -656,9 +662,11 @@ Status RunScenarioImpl(SchemeKind kind, const Scenario& scenario,
 
 }  // namespace
 
-std::string ReproCommand(uint64_t seed, SchemeKind kind, uint64_t episode) {
+std::string ReproCommand(uint64_t seed, SchemeKind kind, uint64_t episode,
+                         ScenarioFamily family) {
   return "sim_torture --seed=" + std::to_string(seed) + " --scheme=" +
-         SchemeKindName(kind) + " --episode=" + std::to_string(episode);
+         SchemeKindName(kind) + " --episode=" + std::to_string(episode) +
+         FamilyFlags(family);
 }
 
 EpisodeResult Simulator::RunScenario(SchemeKind kind, const Scenario& scenario,
@@ -687,93 +695,28 @@ EpisodeResult Simulator::RunScenario(SchemeKind kind, const Scenario& scenario,
   return result;
 }
 
-EpisodeResult Simulator::RunEpisode(SchemeKind kind, uint64_t episode) const {
+EpisodeResult Simulator::RunEpisode(SchemeKind kind, uint64_t episode,
+                                    ScenarioFamily family) const {
   const ScenarioGenerator generator(config_.seed);
+  Scenario scenario = family.bitrot ? generator.GenerateBitRot(episode)
+                                    : generator.Generate(episode);
+  if (family.codec) scenario.codec = CodecMode::kAuto;
   EpisodeResult result =
-      RunScenario(kind, generator.Generate(episode),
+      RunScenario(kind, scenario,
                   "s" + std::to_string(config_.seed) + "_e" +
-                      std::to_string(episode));
+                      std::to_string(episode) + FamilyFlags(family));
   result.episode = episode;
   if (!result.status.ok()) {
-    result.repro = ReproCommand(config_.seed, kind, episode);
+    result.repro = ReproCommand(config_.seed, kind, episode, family);
   }
   return result;
 }
 
-EpisodeResult Simulator::RunMany(SchemeKind kind) const {
+EpisodeResult Simulator::RunMany(SchemeKind kind,
+                                 ScenarioFamily family) const {
   EpisodeResult last;
   for (uint64_t e = 0; e < config_.episodes; ++e) {
-    last = RunEpisode(kind, e);
-    if (!last.status.ok()) return last;
-  }
-  return last;
-}
-
-EpisodeResult Simulator::RunBitRotEpisode(SchemeKind kind,
-                                          uint64_t episode) const {
-  const ScenarioGenerator generator(config_.seed);
-  EpisodeResult result =
-      RunScenario(kind, generator.GenerateBitRot(episode),
-                  "bitrot_s" + std::to_string(config_.seed) + "_e" +
-                      std::to_string(episode));
-  result.episode = episode;
-  if (!result.status.ok()) {
-    result.repro = ReproCommand(config_.seed, kind, episode) + " --bitrot";
-  }
-  return result;
-}
-
-EpisodeResult Simulator::RunManyBitRot(SchemeKind kind) const {
-  EpisodeResult last;
-  for (uint64_t e = 0; e < config_.episodes; ++e) {
-    last = RunBitRotEpisode(kind, e);
-    if (!last.status.ok()) return last;
-  }
-  return last;
-}
-
-EpisodeResult Simulator::RunCodecEpisode(SchemeKind kind,
-                                         uint64_t episode) const {
-  const ScenarioGenerator generator(config_.seed);
-  EpisodeResult result =
-      RunScenario(kind, generator.GenerateCodec(episode),
-                  "codec_s" + std::to_string(config_.seed) + "_e" +
-                      std::to_string(episode));
-  result.episode = episode;
-  if (!result.status.ok()) {
-    result.repro = ReproCommand(config_.seed, kind, episode) + " --codec";
-  }
-  return result;
-}
-
-EpisodeResult Simulator::RunManyCodec(SchemeKind kind) const {
-  EpisodeResult last;
-  for (uint64_t e = 0; e < config_.episodes; ++e) {
-    last = RunCodecEpisode(kind, e);
-    if (!last.status.ok()) return last;
-  }
-  return last;
-}
-
-EpisodeResult Simulator::RunCodecBitRotEpisode(SchemeKind kind,
-                                               uint64_t episode) const {
-  const ScenarioGenerator generator(config_.seed);
-  EpisodeResult result =
-      RunScenario(kind, generator.GenerateCodecBitRot(episode),
-                  "codecrot_s" + std::to_string(config_.seed) + "_e" +
-                      std::to_string(episode));
-  result.episode = episode;
-  if (!result.status.ok()) {
-    result.repro =
-        ReproCommand(config_.seed, kind, episode) + " --codec --bitrot";
-  }
-  return result;
-}
-
-EpisodeResult Simulator::RunManyCodecBitRot(SchemeKind kind) const {
-  EpisodeResult last;
-  for (uint64_t e = 0; e < config_.episodes; ++e) {
-    last = RunCodecBitRotEpisode(kind, e);
+    last = RunEpisode(kind, e, family);
     if (!last.status.ok()) return last;
   }
   return last;

@@ -66,48 +66,38 @@ struct EpisodeResult {
   std::string repro;
 };
 
+/// \brief Which scenario family an episode number selects. The families
+/// compose; every one shares the base scenario's days, geometry and query
+/// mix.
+struct ScenarioFamily {
+  /// The bit-rot variant (ScenarioGenerator::GenerateBitRot): silent
+  /// data-at-rest corruption after committed days, with detection (scrub or
+  /// query path), quarantine, subset-correct degraded serving, and online
+  /// heal all asserted against the oracle inside the episode.
+  bool bitrot = false;
+  /// Every index built at CodecMode::kAuto, so every oracle cross-check (and
+  /// every rot strike and heal) runs against compressed constituents.
+  bool codec = false;
+};
+
 /// \brief Seed-reproducible whole-system simulator.
 class Simulator {
  public:
   explicit Simulator(SimConfig config) : config_(std::move(config)) {}
 
-  /// Runs episode `episode` of the configured seed for `kind`.
-  EpisodeResult RunEpisode(SchemeKind kind, uint64_t episode) const;
+  /// Runs episode `episode` of the configured seed and `family` for `kind`.
+  EpisodeResult RunEpisode(SchemeKind kind, uint64_t episode,
+                           ScenarioFamily family = {}) const;
 
   /// Runs an explicit (possibly shrunk) scenario. `label` tags the scratch
   /// files; it does not influence behaviour.
   EpisodeResult RunScenario(SchemeKind kind, const Scenario& scenario,
                             const std::string& label) const;
 
-  /// Runs episodes 0..config().episodes-1 for `kind`; stops at and returns
-  /// the first failure, or the last (successful) episode's result.
-  EpisodeResult RunMany(SchemeKind kind) const;
-
-  /// Runs the bit-rot variant of episode `episode`
-  /// (ScenarioGenerator::GenerateBitRot): silent data-at-rest corruption
-  /// after committed days, with detection (scrub or query path), quarantine,
-  /// subset-correct degraded serving, and online heal all asserted against
-  /// the oracle inside the episode.
-  EpisodeResult RunBitRotEpisode(SchemeKind kind, uint64_t episode) const;
-
-  /// RunMany over the bit-rot family.
-  EpisodeResult RunManyBitRot(SchemeKind kind) const;
-
-  /// Runs the codec variant of episode `episode`
-  /// (ScenarioGenerator::GenerateCodec): the same days and faults with a
-  /// per-episode bucket codec, so every oracle cross-check runs against
-  /// compressed constituents.
-  EpisodeResult RunCodecEpisode(SchemeKind kind, uint64_t episode) const;
-
-  /// RunMany over the codec family.
-  EpisodeResult RunManyCodec(SchemeKind kind) const;
-
-  /// Bit rot layered on the codec family: corrupted compressed buckets must
-  /// surface DataLoss (checksum or decode failure) and heal in-episode.
-  EpisodeResult RunCodecBitRotEpisode(SchemeKind kind, uint64_t episode) const;
-
-  /// RunMany over the codec bit-rot family.
-  EpisodeResult RunManyCodecBitRot(SchemeKind kind) const;
+  /// Runs episodes 0..config().episodes-1 of `family` for `kind`; stops at
+  /// and returns the first failure, or the last (successful) episode's
+  /// result.
+  EpisodeResult RunMany(SchemeKind kind, ScenarioFamily family = {}) const;
 
   /// Greedily minimizes a failing scenario: truncates days, drops scheduled
   /// faults one at a time, and zeroes error rates, keeping every change that
@@ -121,8 +111,9 @@ class Simulator {
   SimConfig config_;
 };
 
-/// \brief The repro command line for (seed, kind, episode).
-std::string ReproCommand(uint64_t seed, SchemeKind kind, uint64_t episode);
+/// \brief The repro command line for (seed, kind, episode) of `family`.
+std::string ReproCommand(uint64_t seed, SchemeKind kind, uint64_t episode,
+                         ScenarioFamily family = {});
 
 }  // namespace testing
 }  // namespace wavekit

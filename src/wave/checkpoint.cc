@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "util/crc32.h"
-#include "util/crc32c.h"
 #include "util/fs.h"
 #include "util/macros.h"
 
@@ -24,12 +23,9 @@ namespace {
 //   footer <body-length> <crc32-of-body>
 //
 // The footer covers every byte before it; it is validated (length first,
-// then CRC) before the body is parsed at all. Version-4 bucket lines carry
-// the codec id (index/codec.h) and the stored byte length (the live prefix
-// for raw buckets, the exact encoded extent otherwise); version-3 files lack
-// both columns and load every bucket as kRaw. Version-2 files additionally
-// have no per-bucket <crc32c> column; loading one recomputes each checksum
-// from the bucket bytes on the device.
+// then CRC) before the body is parsed at all. Bucket lines carry the codec
+// id (index/codec.h) and the stored byte length (the live prefix for raw
+// buckets, the exact encoded extent otherwise).
 
 void AppendLengthPrefixed(std::string* out, const std::string& s) {
   *out += std::to_string(s.size());
@@ -191,12 +187,11 @@ Result<WaveIndex> DeserializeCheckpoint(const std::string& contents,
                                         ConstituentIndex::Options options) {
   // Header first (so a checkpoint from another format version gets a clear
   // version error, not a footer complaint), then footer integrity, then body.
-  int64_t version = 0;
   {
     Parser header(contents);
     WAVEKIT_RETURN_NOT_OK(header.Expect("wavekit-checkpoint"));
-    WAVEKIT_ASSIGN_OR_RETURN(version, header.Int());
-    if (version < kMinCheckpointVersion || version > kCheckpointVersion) {
+    WAVEKIT_ASSIGN_OR_RETURN(const int64_t version, header.Int());
+    if (version != kCheckpointVersion) {
       return Status::InvalidArgument("unsupported checkpoint version " +
                                      std::to_string(version));
     }
@@ -212,7 +207,6 @@ Result<WaveIndex> DeserializeCheckpoint(const std::string& contents,
   }
 
   WaveIndex wave;
-  std::vector<std::byte> upgrade_buffer;  // v2 crc recomputation scratch
   for (int64_t i = 0; i < num_constituents; ++i) {
     WAVEKIT_RETURN_NOT_OK(parser.Expect("constituent"));
     WAVEKIT_ASSIGN_OR_RETURN(std::string name, parser.LengthPrefixed());
@@ -231,26 +225,19 @@ Result<WaveIndex> DeserializeCheckpoint(const std::string& contents,
       WAVEKIT_ASSIGN_OR_RETURN(int64_t offset, parser.Int());
       WAVEKIT_ASSIGN_OR_RETURN(int64_t count, parser.Int());
       WAVEKIT_ASSIGN_OR_RETURN(int64_t capacity, parser.Int());
-      int64_t crc = 0;
-      if (version >= 3) {
-        WAVEKIT_ASSIGN_OR_RETURN(crc, parser.Int());
-        if (crc < 0 || crc > std::numeric_limits<uint32_t>::max()) {
-          return Status::InvalidArgument("corrupt bucket crc for '" + value +
-                                         "'");
-        }
+      WAVEKIT_ASSIGN_OR_RETURN(int64_t crc, parser.Int());
+      if (crc < 0 || crc > std::numeric_limits<uint32_t>::max()) {
+        return Status::InvalidArgument("corrupt bucket crc for '" + value +
+                                       "'");
       }
-      Codec codec = Codec::kRaw;
-      int64_t stored = -1;
-      if (version >= 4) {
-        WAVEKIT_ASSIGN_OR_RETURN(int64_t codec_id, parser.Int());
-        if (codec_id < 0) {
-          return Status::InvalidArgument("corrupt bucket codec for '" + value +
-                                         "'");
-        }
-        WAVEKIT_ASSIGN_OR_RETURN(
-            codec, CodecFromId(static_cast<uint64_t>(codec_id)));
-        WAVEKIT_ASSIGN_OR_RETURN(stored, parser.Int());
+      WAVEKIT_ASSIGN_OR_RETURN(int64_t codec_id, parser.Int());
+      if (codec_id < 0) {
+        return Status::InvalidArgument("corrupt bucket codec for '" + value +
+                                       "'");
       }
+      WAVEKIT_ASSIGN_OR_RETURN(const Codec codec,
+                               CodecFromId(static_cast<uint64_t>(codec_id)));
+      WAVEKIT_ASSIGN_OR_RETURN(int64_t stored, parser.Int());
       // Bounds before any cast: a corrupt offset/capacity must not wrap into
       // a plausible-looking extent.
       if (count < 0 || capacity < count || offset < 0 ||
@@ -258,23 +245,20 @@ Result<WaveIndex> DeserializeCheckpoint(const std::string& contents,
         return Status::InvalidArgument("corrupt bucket bounds for '" + value +
                                        "'");
       }
-      if (version >= 4) {
-        // The stored length must agree with the codec's invariants: raw
-        // buckets store exactly their live prefix inside a capacity-sized
-        // extent; compressed buckets are exactly filled and strictly beat
-        // the raw size.
-        if (codec == Codec::kRaw) {
-          if (stored != count * static_cast<int64_t>(kEntrySize)) {
-            return Status::InvalidArgument(
-                "corrupt stored length for raw bucket '" + value + "'");
-          }
-        } else {
-          if (count != capacity || stored <= 0 ||
-              stored >= count * static_cast<int64_t>(kEntrySize)) {
-            return Status::InvalidArgument(
-                "corrupt stored length for compressed bucket '" + value +
-                "'");
-          }
+      // The stored length must agree with the codec's invariants: raw
+      // buckets store exactly their live prefix inside a capacity-sized
+      // extent; compressed buckets are exactly filled and strictly beat the
+      // raw size.
+      if (codec == Codec::kRaw) {
+        if (stored != count * static_cast<int64_t>(kEntrySize)) {
+          return Status::InvalidArgument(
+              "corrupt stored length for raw bucket '" + value + "'");
+        }
+      } else {
+        if (count != capacity || stored <= 0 ||
+            stored >= count * static_cast<int64_t>(kEntrySize)) {
+          return Status::InvalidArgument(
+              "corrupt stored length for compressed bucket '" + value + "'");
         }
       }
       const Extent extent{
@@ -284,17 +268,6 @@ Result<WaveIndex> DeserializeCheckpoint(const std::string& contents,
       WAVEKIT_RETURN_NOT_OK(
           allocator->Reserve(extent).WithContext("reserving bucket of '" +
                                                  value + "'"));
-      if (version < 3) {
-        // v2 -> v3 upgrade: the file carries no data checksum, so seed it
-        // from the bytes currently on the device. This trusts the device
-        // once (there is nothing else to trust) and protects every read
-        // from here on.
-        upgrade_buffer.resize(static_cast<size_t>(count) * kEntrySize);
-        WAVEKIT_RETURN_NOT_OK(
-            device->Read(extent.offset, upgrade_buffer)
-                .WithContext("recomputing v2 bucket crc of '" + value + "'"));
-        crc = Crc32c(upgrade_buffer.data(), upgrade_buffer.size());
-      }
       WAVEKIT_RETURN_NOT_OK(index->InstallBucket(
           value,
           BucketInfo{extent, static_cast<uint32_t>(count),

@@ -33,13 +33,8 @@ namespace wavekit {
 /// bucket's data CRC-32C (BucketInfo::crc) to the bucket line, persisting
 /// the integrity map across restarts. Version 4 added the bucket codec id
 /// and stored byte length (index/codec.h), persisting compressed-extent
-/// geometry. Older files still load: version-3 buckets load as kRaw, and
-/// version-2 bucket checksums are recomputed from the device (the one-time
-/// upgrade cost); the next checkpoint writes version 4.
+/// geometry. DeserializeCheckpoint accepts version 4 only.
 inline constexpr int kCheckpointVersion = 4;
-
-/// Oldest version DeserializeCheckpoint still accepts.
-inline constexpr int kMinCheckpointVersion = 2;
 
 /// \brief Serializes `wave`'s metadata to a string (one checkpoint file's
 /// contents). Deterministic for a given wave index.

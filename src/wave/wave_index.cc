@@ -102,11 +102,14 @@ bool WaveIndex::Contains(const ConstituentIndex* index) const {
 }
 
 Status WaveIndex::TimedIndexProbe(const DayRange& range, const Value& value,
-                                  std::vector<Entry>* out,
-                                  QueryStats* stats) const {
+                                  std::vector<Entry>* out, QueryStats* stats,
+                                  uint64_t limit) const {
   QueryStats local;
   const size_t before = out->size();
   for (const auto& constituent : constituents_) {
+    // A spent limit ends the probe: later constituents are neither read nor
+    // counted.
+    if (out->size() - before >= limit) break;
     if (!range.Intersects(constituent->time_set())) {
       ++local.indexes_skipped;
       continue;
@@ -126,6 +129,7 @@ Status WaveIndex::TimedIndexProbe(const DayRange& range, const Value& value,
     }
     WAVEKIT_RETURN_NOT_OK(status);
   }
+  if (out->size() - before > limit) out->resize(before + limit);
   local.entries_returned = out->size() - before;
   if (stats != nullptr) *stats = local;
   return DegradedStatus(local);

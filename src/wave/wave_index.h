@@ -81,9 +81,14 @@ class WaveIndex {
 
   /// TimedIndexProbe(Theta, T1, T2, s): entries for `value` inserted within
   /// `range`, gathered from every constituent whose cluster intersects it.
+  ///
+  /// With a `limit`, at most `limit` entries are appended: the first `limit`
+  /// of the unlimited probe, in the same order. Once they are collected, no
+  /// further constituent is read or counted in `stats`. A caller that wants
+  /// to know whether more than K entries exist passes K + 1.
   Status TimedIndexProbe(const DayRange& range, const Value& value,
-                         std::vector<Entry>* out,
-                         QueryStats* stats = nullptr) const;
+                         std::vector<Entry>* out, QueryStats* stats = nullptr,
+                         uint64_t limit = kNoEntryLimit) const;
 
   /// IndexProbe: TimedIndexProbe over (-inf, +inf).
   Status IndexProbe(const Value& value, std::vector<Entry>* out,

@@ -300,13 +300,13 @@ void WaveService::RegisterMetrics() {
       "uncompressed_bytes / compressed_bytes over the snapshot (1.0 when "
       "nothing is compressed).",
       {}, [this] { return CodecTotals().ratio(); }, this);
-  for (int c = 0; c < kNumCodecs; ++c) {
+  for (const Codec codec : kAllCodecs) {
     registry->AddGaugeCallback(
         "wavekit_bucket_codec_buckets",
         "Live buckets stored under each codec.",
-        {{"codec", CodecName(static_cast<Codec>(c))}},
-        [this, c] {
-          return static_cast<double>(CodecTotals().buckets[c]);
+        {{"codec", CodecName(codec)}},
+        [this, codec] {
+          return static_cast<double>(CodecTotals().buckets(codec));
         },
         this);
   }
@@ -317,10 +317,7 @@ ConstituentIndex::CodecBreakdown WaveService::CodecTotals() const {
   const std::shared_ptr<const WaveIndex> snapshot = Snapshot();
   if (snapshot == nullptr) return totals;
   for (const auto& constituent : snapshot->constituents()) {
-    const ConstituentIndex::CodecBreakdown one = constituent->CodecStats();
-    for (int c = 0; c < kNumCodecs; ++c) totals.buckets[c] += one.buckets[c];
-    totals.stored_bytes += one.stored_bytes;
-    totals.uncompressed_bytes += one.uncompressed_bytes;
+    totals += constituent->CodecStats();
   }
   return totals;
 }
@@ -561,14 +558,14 @@ std::shared_ptr<const WaveIndex> WaveService::Snapshot() const {
 }
 
 Status WaveService::TimedIndexProbe(const DayRange& range, const Value& value,
-                                    std::vector<Entry>* out,
-                                    QueryStats* stats) const {
+                                    std::vector<Entry>* out, QueryStats* stats,
+                                    uint64_t limit) const {
   std::shared_ptr<const WaveIndex> snapshot = Snapshot();
   if (snapshot == nullptr) {
     return Status::FailedPrecondition("service not started");
   }
   const uint64_t start = clock_->NowMicros();
-  Status status = snapshot->TimedIndexProbe(range, value, out, stats);
+  Status status = snapshot->TimedIndexProbe(range, value, out, stats, limit);
   if (status.IsPartialResult()) instruments_.partial_results->Increment();
   instruments_.probes->Increment();
   instruments_.probe_latency_us->Record(MicrosSince(start));

@@ -226,9 +226,10 @@ class WaveService {
   //
   // Each query runs on the calling thread, over the snapshot it took.
 
+  /// `limit` caps the entries returned (WaveIndex::TimedIndexProbe).
   Status TimedIndexProbe(const DayRange& range, const Value& value,
-                         std::vector<Entry>* out,
-                         QueryStats* stats = nullptr) const;
+                         std::vector<Entry>* out, QueryStats* stats = nullptr,
+                         uint64_t limit = kNoEntryLimit) const;
   Status IndexProbe(const Value& value, std::vector<Entry>* out,
                     QueryStats* stats = nullptr) const;
   /// `limit` caps the entries visited (WaveIndex::TimedSegmentScan).

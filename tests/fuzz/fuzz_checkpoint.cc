@@ -1,4 +1,4 @@
-// libFuzzer target for the checkpoint-v2 parser.
+// libFuzzer target for the checkpoint parser.
 //
 // DeserializeCheckpoint is the one place wavekit parses bytes it did not
 // write in the same process: a checkpoint file that survived a crash, a torn

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -238,6 +239,43 @@ TEST(ServerCoreTest, UncappedProbeReplyFitsOneFrame) {
                 " entries");
   EXPECT_EQ(decoded.entries.size(), kMaxReplyEntries);
   EXPECT_EQ(decoded.stats.entries_returned, kMaxReplyEntries);
+}
+
+TEST(ServerCoreTest, CappedProbeReadsNoConstituentPastTheCap) {
+  // Tenant 1 holds the hot value in two one-day constituents, each with more
+  // entries than one reply carries: the first constituent the probe reads
+  // fills the reply, so the second is neither read nor counted.
+  WaveService::Options options;
+  options.scheme = SchemeKind::kDel;
+  options.config.window = 2;
+  options.config.num_indexes = 2;
+  options.config.technique = UpdateTechniqueKind::kSimpleShadow;
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<WaveService> big,
+                       WaveService::Create(std::move(options)));
+  std::vector<DayBatch> first;
+  for (Day d = 1; d <= 2; ++d) {
+    first.push_back(MakeBatch(d, {"hot"}, kMaxReplyEntries + 1000));
+  }
+  ASSERT_OK(big->Start(std::move(first)));
+  ASSERT_EQ(big->Snapshot()->num_constituents(), 2u);
+  std::vector<Entry> uncapped;
+  ASSERT_OK(big->IndexProbe("hot", &uncapped));
+  TestServer server;
+  ASSERT_OK(server.core.AddTenant(1, std::move(big)));
+
+  ProbeRequest request;
+  request.range = DayRange::All();
+  request.value = "hot";
+  const Frame reply = Serve(&server, EncodeProbeRequest(1, 1, request));
+  QueryReply decoded;
+  ASSERT_OK(DecodeQueryReply(reply.payload, &decoded));
+  EXPECT_EQ(decoded.result.code, StatusCode::kPartialResult);
+  EXPECT_EQ(decoded.stats.indexes_accessed, 1);
+  EXPECT_EQ(decoded.stats.entries_returned, kMaxReplyEntries);
+  // The truncated reply is the uncapped probe's first kMaxReplyEntries.
+  ASSERT_EQ(decoded.entries.size(), kMaxReplyEntries);
+  EXPECT_TRUE(std::equal(decoded.entries.begin(), decoded.entries.end(),
+                         uncapped.begin()));
 }
 
 TEST(ServerCoreTest, RateLimitIsEnforcedOnInjectedClock) {

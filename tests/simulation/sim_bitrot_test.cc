@@ -16,8 +16,11 @@ namespace wavekit {
 namespace {
 
 using testing::EpisodeResult;
+using testing::ScenarioFamily;
 using testing::SimConfig;
 using testing::Simulator;
+
+constexpr ScenarioFamily kBitRot{.bitrot = true};
 
 SimConfig Config(uint64_t episodes) {
   SimConfig config;
@@ -31,7 +34,7 @@ class SimBitRotTest : public ::testing::TestWithParam<SchemeKind> {};
 
 TEST_P(SimBitRotTest, SmokeEpisodesDetectAndHeal) {
   const Simulator simulator(Config(8));
-  const EpisodeResult result = simulator.RunManyBitRot(GetParam());
+  const EpisodeResult result = simulator.RunMany(GetParam(), kBitRot);
   EXPECT_TRUE(result.status.ok())
       << result.status << "\nrepro: " << result.repro << "\ntrace:\n"
       << result.trace;
@@ -42,9 +45,10 @@ TEST_P(SimBitRotTest, SameEpisodeProducesByteIdenticalTrace) {
   // decisions to the deterministic surface — all must replay byte-for-byte.
   const Simulator simulator(Config(1));
   for (uint64_t episode = 0; episode < 3; ++episode) {
-    const EpisodeResult first = simulator.RunBitRotEpisode(GetParam(), episode);
+    const EpisodeResult first =
+        simulator.RunEpisode(GetParam(), episode, kBitRot);
     const EpisodeResult second =
-        simulator.RunBitRotEpisode(GetParam(), episode);
+        simulator.RunEpisode(GetParam(), episode, kBitRot);
     ASSERT_EQ(first.status.ToString(), second.status.ToString());
     EXPECT_EQ(first.trace, second.trace) << "episode " << episode;
   }
@@ -57,7 +61,7 @@ TEST_P(SimBitRotTest, EpisodesActuallyExerciseCorruption) {
   bool saw_rot = false;
   for (uint64_t episode = 0; episode < 4 && !saw_rot; ++episode) {
     const EpisodeResult result =
-        simulator.RunBitRotEpisode(GetParam(), episode);
+        simulator.RunEpisode(GetParam(), episode, kBitRot);
     ASSERT_TRUE(result.status.ok())
         << result.status << "\nrepro: " << result.repro;
     saw_rot = result.trace.find("quarantined=") != std::string::npos;

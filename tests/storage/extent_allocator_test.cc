@@ -207,7 +207,9 @@ TEST(ExtentAllocatorAlignedTest, RandomizedAlignedMixStaysConsistent) {
       ASSERT_OK(alloc.Free(live[pick]));
       live.erase(live.begin() + static_cast<long>(pick));
     }
-    if (i % 100 == 0) ASSERT_OK(alloc.CheckConsistency());
+    if (i % 100 == 0) {
+      ASSERT_OK(alloc.CheckConsistency());
+    }
   }
   for (const Extent& e : live) ASSERT_OK(alloc.Free(e));
   EXPECT_EQ(alloc.free_bytes(), uint64_t{1} << 20);

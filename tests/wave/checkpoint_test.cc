@@ -251,124 +251,26 @@ std::string Reseal(const std::string& body) {
          std::to_string(Crc32(body)) + "\n";
 }
 
-// Doctors a serialized v4 checkpoint down to the v2 format: version header
-// rewritten, the per-bucket <crc32c> <codec> <stored> columns stripped,
-// footer recomputed. This is byte-for-byte what a pre-upgrade deployment
-// would have written.
-std::string DowngradeToV2(const std::string& v4) {
+// Rewrites the <codec> column (second-from-last) of the first bucket line of
+// a serialized checkpoint to `codec`, and re-seals the footer.
+std::string WithFirstBucketCodec(const std::string& v4,
+                                 const std::string& codec) {
   const size_t footer_at = v4.rfind("\nfooter ");
   EXPECT_NE(footer_at, std::string::npos);
   std::istringstream in(v4.substr(0, footer_at + 1));
   std::string body, line;
+  bool doctored = false;
   while (std::getline(in, line)) {
-    if (line.rfind("wavekit-checkpoint ", 0) == 0) {
-      line = "wavekit-checkpoint 2";
-    } else if (line.rfind("bucket ", 0) == 0) {
-      for (int i = 0; i < 3; ++i) line.erase(line.rfind(' '));
+    if (!doctored && line.rfind("bucket ", 0) == 0) {
+      const size_t end = line.rfind(' ');
+      const size_t codec_at = line.rfind(' ', end - 1) + 1;
+      line = line.substr(0, codec_at) + codec + line.substr(end);
+      doctored = true;
     }
     body += line + "\n";
   }
+  EXPECT_TRUE(doctored);
   return Reseal(body);
-}
-
-// Same doctoring down to the v3 format: the <codec> <stored> columns are
-// dropped, keeping the checksum column.
-std::string DowngradeToV3(const std::string& v4) {
-  const size_t footer_at = v4.rfind("\nfooter ");
-  EXPECT_NE(footer_at, std::string::npos);
-  std::istringstream in(v4.substr(0, footer_at + 1));
-  std::string body, line;
-  while (std::getline(in, line)) {
-    if (line.rfind("wavekit-checkpoint ", 0) == 0) {
-      line = "wavekit-checkpoint 3";
-    } else if (line.rfind("bucket ", 0) == 0) {
-      for (int i = 0; i < 2; ++i) line.erase(line.rfind(' '));
-    }
-    body += line + "\n";
-  }
-  return Reseal(body);
-}
-
-TEST_F(CheckpointTest, V2CheckpointUpgradesWithRecomputedChecksums) {
-  BuildWave();
-  ASSERT_OK_AND_ASSIGN(std::string v4, SerializeCheckpoint(wave_));
-  const std::string v2 = DowngradeToV2(v4);
-  ASSERT_NE(v2, v4);
-  EXPECT_NE(v2.find("wavekit-checkpoint 2"), std::string::npos);
-
-  // A v2 file loads: checksums are seeded from the device bytes.
-  ExtentAllocator fresh(store_.allocator()->capacity());
-  ASSERT_OK_AND_ASSIGN(
-      WaveIndex reopened,
-      DeserializeCheckpoint(v2, store_.device(), &fresh, Options()));
-  std::vector<Entry> out;
-  ASSERT_OK(reopened.IndexProbe("alpha", &out));
-  ReferenceIndex::Sort(&out);
-  EXPECT_EQ(out, reference_.Probe("alpha", kDayNegInf, kDayPosInf));
-
-  // And the upgrade is complete, not cosmetic: re-serializing writes v4
-  // with the recomputed checksums, identical to the native v4 file (the
-  // buckets are raw, so the codec/stored columns are the trivial ones).
-  ASSERT_OK_AND_ASSIGN(std::string resaved, SerializeCheckpoint(reopened));
-  EXPECT_EQ(resaved, v4);
-
-  // The seeded checksums have teeth: rot AFTER the upgrade is caught.
-  Extent live{0, 0};
-  ASSERT_OK(reopened.constituents()[0]->ForEachBucket(
-      [&](const Value& v, const BucketInfo& info) {
-        if (v == "alpha") {
-          live = Extent{info.extent.offset, uint64_t{info.count} * kEntrySize};
-        }
-      }));
-  ASSERT_GT(live.length, 0u);
-  std::vector<std::byte> buf(static_cast<size_t>(live.length));
-  ASSERT_OK(store_.device()->Read(live.offset, buf));
-  buf[0] ^= std::byte{0x04};
-  ASSERT_OK(store_.device()->Write(live.offset, buf));
-  out.clear();
-  EXPECT_TRUE(reopened.constituents()[0]->Probe("alpha", &out).IsDataLoss());
-}
-
-TEST_F(CheckpointTest, V3ChecksumColumnCatchesRotThatV2CannotSee) {
-  // Rot the medium AFTER the checkpoint was taken but BEFORE it is loaded —
-  // the at-rest window a restart cannot observe directly. The v3 file
-  // carries the pre-rot checksum and catches the rot on first read; the v2
-  // file has nothing to compare against and trusts the rotten bytes. This
-  // asymmetry is the reason the format grew the column.
-  BuildWave();
-  ASSERT_OK_AND_ASSIGN(std::string v4, SerializeCheckpoint(wave_));
-  const std::string v2 = DowngradeToV2(v4);
-  Extent live{0, 0};
-  ASSERT_OK(wave_.constituents()[0]->ForEachBucket(
-      [&](const Value& v, const BucketInfo& info) {
-        if (v == "beta") {
-          live = Extent{info.extent.offset, uint64_t{info.count} * kEntrySize};
-        }
-      }));
-  ASSERT_GT(live.length, 0u);
-  std::vector<std::byte> buf(static_cast<size_t>(live.length));
-  ASSERT_OK(store_.device()->Read(live.offset, buf));
-  buf[buf.size() / 2] ^= std::byte{0x20};
-  ASSERT_OK(store_.device()->Write(live.offset, buf));
-
-  std::vector<Entry> out;
-  {
-    ExtentAllocator fresh(store_.allocator()->capacity());
-    ASSERT_OK_AND_ASSIGN(
-        WaveIndex from_v4,
-        DeserializeCheckpoint(v4, store_.device(), &fresh, Options()));
-    EXPECT_TRUE(from_v4.constituents()[0]->Probe("beta", &out).IsDataLoss());
-    EXPECT_TRUE(from_v4.constituents()[0]->corrupt());
-  }
-  {
-    ExtentAllocator fresh(store_.allocator()->capacity());
-    ASSERT_OK_AND_ASSIGN(
-        WaveIndex from_v2,
-        DeserializeCheckpoint(v2, store_.device(), &fresh, Options()));
-    out.clear();
-    EXPECT_OK(from_v2.constituents()[0]->Probe("beta", &out));  // trusted rot
-    EXPECT_FALSE(from_v2.constituents()[0]->corrupt());
-  }
 }
 
 TEST_F(CheckpointTest, DoctoredChecksumColumnIsCaughtOnFirstRead) {
@@ -412,47 +314,31 @@ TEST_F(CheckpointTest, DoctoredChecksumColumnIsCaughtOnFirstRead) {
 }
 
 TEST_F(CheckpointTest, TruncatedChecksumColumnIsRejected) {
-  // A v3 header whose bucket lines lost the checksum column (a bad partial
-  // upgrade, or v2 bucket lines pasted under a v3 header) must be rejected
-  // by the parser even with a correct footer — never silently read as v2.
-  BuildWave();
-  ASSERT_OK_AND_ASSIGN(std::string v3, SerializeCheckpoint(wave_));
-  std::string v2_body_v3_header = DowngradeToV2(v3);
-  const size_t at = v2_body_v3_header.find("wavekit-checkpoint 2");
-  ASSERT_NE(at, std::string::npos);
-  v2_body_v3_header.replace(at, 20, "wavekit-checkpoint 3");
-  const size_t footer_at = v2_body_v3_header.rfind("\nfooter ");
-  const std::string resealed =
-      Reseal(v2_body_v3_header.substr(0, footer_at + 1));
-  ExtentAllocator fresh(store_.allocator()->capacity());
-  EXPECT_FALSE(
-      DeserializeCheckpoint(resealed, store_.device(), &fresh, Options())
-          .ok());
-}
-
-TEST_F(CheckpointTest, V3CheckpointLoadsBucketsAsRaw) {
-  // v3 predates per-bucket codecs: every bucket loads as kRaw, and a resave
-  // upgrades the file to v4 with the trivial codec/stored columns.
+  // Bucket lines that lost their checksum column (the layout of files older
+  // than v3) under a v4 header must be rejected by the parser even with a
+  // correct footer, never read with the columns shifted.
   BuildWave();
   ASSERT_OK_AND_ASSIGN(std::string v4, SerializeCheckpoint(wave_));
-  const std::string v3 = DowngradeToV3(v4);
-  ASSERT_NE(v3, v4);
-  EXPECT_NE(v3.find("wavekit-checkpoint 3"), std::string::npos);
-  ExtentAllocator fresh(store_.allocator()->capacity());
-  ASSERT_OK_AND_ASSIGN(
-      WaveIndex reopened,
-      DeserializeCheckpoint(v3, store_.device(), &fresh, Options()));
-  std::vector<Entry> out;
-  ASSERT_OK(reopened.IndexProbe("alpha", &out));
-  ReferenceIndex::Sort(&out);
-  EXPECT_EQ(out, reference_.Probe("alpha", kDayNegInf, kDayPosInf));
-  for (const auto& c : reopened.constituents()) {
-    ASSERT_OK(c->ForEachBucket([](const Value&, const BucketInfo& info) {
-      EXPECT_EQ(info.codec, Codec::kRaw);
-    }));
+  const size_t footer_at = v4.rfind("\nfooter ");
+  std::istringstream in(v4.substr(0, footer_at + 1));
+  std::string body, line;
+  int stripped = 0;
+  while (std::getline(in, line)) {
+    if (line.rfind("bucket ", 0) == 0) {
+      // ... <crc32c> <codec> <stored>: cut the third-from-last column.
+      size_t end = line.size();
+      for (int i = 0; i < 2; ++i) end = line.rfind(' ', end - 1);
+      const size_t crc_at = line.rfind(' ', end - 1);
+      line.erase(crc_at, end - crc_at);
+      ++stripped;
+    }
+    body += line + "\n";
   }
-  ASSERT_OK_AND_ASSIGN(std::string resaved, SerializeCheckpoint(reopened));
-  EXPECT_EQ(resaved, v4);
+  ASSERT_GT(stripped, 0);
+  ExtentAllocator fresh(store_.allocator()->capacity());
+  EXPECT_FALSE(
+      DeserializeCheckpoint(Reseal(body), store_.device(), &fresh, Options())
+          .ok());
 }
 
 TEST_F(CheckpointTest, BadCodecColumnIsRejected) {
@@ -460,26 +346,25 @@ TEST_F(CheckpointTest, BadCodecColumnIsRejected) {
   // correct footer — decoding with a nonsense codec would misread bytes.
   BuildWave();
   ASSERT_OK_AND_ASSIGN(std::string v4, SerializeCheckpoint(wave_));
-  const size_t footer_at = v4.rfind("\nfooter ");
-  std::istringstream in(v4.substr(0, footer_at + 1));
-  std::string body, line;
-  bool doctored = false;
-  while (std::getline(in, line)) {
-    if (!doctored && line.rfind("bucket ", 0) == 0) {
-      // Rewrite the <codec> column (second-from-last) to an unknown id.
-      const size_t end = line.rfind(' ');
-      const size_t codec_at = line.rfind(' ', end - 1) + 1;
-      line = line.substr(0, codec_at) + "9" + line.substr(end);
-      doctored = true;
-    }
-    body += line + "\n";
-  }
-  ASSERT_TRUE(doctored);
   ExtentAllocator fresh(store_.allocator()->capacity());
-  auto loaded = DeserializeCheckpoint(Reseal(body), store_.device(), &fresh,
-                                      Options());
+  auto loaded = DeserializeCheckpoint(WithFirstBucketCodec(v4, "9"),
+                                      store_.device(), &fresh, Options());
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("codec"), std::string::npos)
+      << loaded.status();
+}
+
+TEST_F(CheckpointTest, RetiredCodecIdIsRejected) {
+  // Codec id 1 named a varint layout no decoder reads any more; a bucket
+  // line that names it fails the load instead of being misread as bitpack.
+  BuildWave();
+  ASSERT_OK_AND_ASSIGN(std::string v4, SerializeCheckpoint(wave_));
+  ExtentAllocator fresh(store_.allocator()->capacity());
+  auto loaded = DeserializeCheckpoint(WithFirstBucketCodec(v4, "1"),
+                                      store_.device(), &fresh, Options());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("unknown codec id: 1"), std::string::npos)
       << loaded.status();
 }
 
@@ -502,7 +387,7 @@ TEST_F(CheckpointTest, CompressedBucketsRoundTrip) {
   ASSERT_TRUE(built.ok()) << built.status();
   std::shared_ptr<ConstituentIndex> packed = std::move(built).ValueOrDie();
   const ConstituentIndex::CodecBreakdown stats = packed->CodecStats();
-  ASSERT_GT(stats.buckets[1] + stats.buckets[2], 0u)
+  ASSERT_GT(stats.bitpack_buckets, 0u)
       << "expected at least one compressed bucket";
   WaveIndex wave;
   wave.AddIndex(packed);

@@ -193,7 +193,9 @@ TEST_F(DegradedServingTest, PermanentFailureEntersRecoveryModeButKeepsServing) {
   Status degraded = scheme->wave().TimedIndexProbe(DayRange::Window(7, 6),
                                                    "alpha", &out, &stats);
   ASSERT_TRUE(degraded.ok() || degraded.IsPartialResult()) << degraded;
-  if (degraded.IsPartialResult()) EXPECT_GT(stats.indexes_unhealthy, 0);
+  if (degraded.IsPartialResult()) {
+    EXPECT_GT(stats.indexes_unhealthy, 0);
+  }
 }
 
 TEST(WaveServiceDegradedTest, KeepsServingThroughFailedAdvance) {

@@ -13,9 +13,8 @@
 // episode asserts detection (scrub or query path), quarantine,
 // subset-correct degraded answers, and online self-healing.
 //
-// --codec switches to the codec scenario family (GenerateCodec): each
-// episode builds its indexes under a per-episode bucket codec policy (auto
-// or one forced codec), so every oracle cross-check exercises compressed
+// --codec switches to the codec scenario family: each episode builds its
+// indexes at codec=auto, so every oracle cross-check exercises compressed
 // probe/scan decode. Composes with --bitrot: rot then lands on compressed
 // extents and must still be detected and healed.
 //
@@ -148,26 +147,16 @@ int Main(int argc, char** argv) {
     kinds.push_back(parsed.ValueOrDie());
   }
 
-  const bool bitrot = args.GetBool("bitrot", false);
-  const bool codec = args.GetBool("codec", false);
+  testing::ScenarioFamily family;
+  family.bitrot = args.GetBool("bitrot", false);
+  family.codec = args.GetBool("codec", false);
   const testing::Simulator simulator(config);
-  const auto run_episode = [&](SchemeKind kind, uint64_t episode) {
-    if (codec && bitrot) return simulator.RunCodecBitRotEpisode(kind, episode);
-    if (codec) return simulator.RunCodecEpisode(kind, episode);
-    if (bitrot) return simulator.RunBitRotEpisode(kind, episode);
-    return simulator.RunEpisode(kind, episode);
-  };
-  const auto run_many = [&](SchemeKind kind) {
-    if (codec && bitrot) return simulator.RunManyCodecBitRot(kind);
-    if (codec) return simulator.RunManyCodec(kind);
-    if (bitrot) return simulator.RunManyBitRot(kind);
-    return simulator.RunMany(kind);
-  };
   bool failed = false;
   for (SchemeKind kind : kinds) {
     if (args.Has("episode")) {
       const uint64_t episode = args.GetU64("episode", 0);
-      const testing::EpisodeResult result = run_episode(kind, episode);
+      const testing::EpisodeResult result =
+          simulator.RunEpisode(kind, episode, family);
       if (print_trace) std::cout << result.trace;
       if (result.status.ok()) {
         std::cout << SchemeKindName(kind) << " episode " << episode
@@ -178,7 +167,7 @@ int Main(int argc, char** argv) {
       }
       continue;
     }
-    const testing::EpisodeResult result = run_many(kind);
+    const testing::EpisodeResult result = simulator.RunMany(kind, family);
     if (result.status.ok()) {
       std::cout << SchemeKindName(kind) << ": " << config.episodes
                 << " episodes ok\n";

@@ -90,11 +90,12 @@
 //   The workload-driven subcommands (metrics, trace, top, export-trace,
 //   events, serve-metrics, stats, scrub, verify) also accept
 //   --backend/--path/--direct/--queue-depth to serve from a real device
-//   instead of the modeled MemoryDevice, and --codec=raw|auto|delta|bitpack
-//   to choose the bucket codec policy for every index the run builds.
+//   instead of the modeled MemoryDevice, and --codec=raw|auto to choose the
+//   bucket codec policy for every index the run builds.
 //
 //   Unknown subcommands or flags print usage and exit 2. A flag value that
-//   does not parse as its type (a number, true/false) also exits 2.
+//   does not parse as its type (a number, true/false), or a --codec other
+//   than raw|auto, also exits 2.
 
 #include <unistd.h>
 
@@ -761,9 +762,8 @@ int Stats(const Args& args) {
                          const ConstituentIndex::CodecBreakdown& b) {
     return std::vector<std::string>{
         name,
-        std::to_string(b.buckets[0]),
-        std::to_string(b.buckets[1]),
-        std::to_string(b.buckets[2]),
+        std::to_string(b.raw_buckets),
+        std::to_string(b.bitpack_buckets),
         FormatBytes(b.stored_bytes),
         FormatBytes(b.uncompressed_bytes),
         FormatDouble(b.ratio(), 3)};
@@ -771,9 +771,8 @@ int Stats(const Args& args) {
   const ConstituentIndex::CodecBreakdown totals = svc.CodecTotals();
   if (format == "json") {
     const auto json_of = [](const ConstituentIndex::CodecBreakdown& b) {
-      return std::string("{\"raw_buckets\":") + std::to_string(b.buckets[0]) +
-             ",\"delta_buckets\":" + std::to_string(b.buckets[1]) +
-             ",\"bitpack_buckets\":" + std::to_string(b.buckets[2]) +
+      return std::string("{\"raw_buckets\":") + std::to_string(b.raw_buckets) +
+             ",\"bitpack_buckets\":" + std::to_string(b.bitpack_buckets) +
              ",\"stored_bytes\":" + std::to_string(b.stored_bytes) +
              ",\"uncompressed_bytes\":" + std::to_string(b.uncompressed_bytes) +
              ",\"ratio\":" + FormatDouble(b.ratio(), 4) + "}";
@@ -789,8 +788,8 @@ int Stats(const Args& args) {
     }
     std::cout << "],\"total\":" << json_of(totals) << "}\n";
   } else if (format == "table") {
-    sim::TablePrinter table({"index", "raw", "delta", "bitpack", "stored",
-                             "uncompressed", "ratio"});
+    sim::TablePrinter table(
+        {"index", "raw", "bitpack", "stored", "uncompressed", "ratio"});
     table.SetTitle("per-index bucket codec breakdown (codec=" +
                    args.Get("codec", "raw") + ")");
     for (const auto& constituent : snapshot->constituents()) {
@@ -1426,6 +1425,12 @@ int Main(int argc, char** argv) {
     for (const std::string& arg : unknown) std::cerr << " '" << arg << "'";
     std::cerr << "\n";
     PrintUsage(std::cerr);
+    return 2;
+  }
+  if (const Result<CodecMode> codec =
+          CodecModeFromName(args.Get("codec", "raw"));
+      !codec.ok()) {
+    std::cerr << "wavectl " << command << ": " << codec.status() << "\n";
     return 2;
   }
   return it->second.handler(args);

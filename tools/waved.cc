@@ -19,8 +19,8 @@
 // that port (/metrics, /metrics.json, /healthz; obs/http_exporter.h).
 // --metrics-port=0 picks an ephemeral port; --no-metrics disables the
 // exporter entirely. An unknown flag, a malformed value or one out of its
-// range (a port past 65535, --tenants outside 1..65535, a negative count)
-// exits with status 2.
+// range (a port past 65535, --tenants outside 1..65535, a negative count, a
+// --codec other than raw|auto) exits with status 2.
 //
 // Prints one line when ready:
 //   waved ready port=<p> metrics_port=<mp> tenants=<n> pid=<pid>
@@ -55,15 +55,15 @@ void HandleShutdownSignal(int) { g_shutdown_requested = 1; }
 /// Builds one tenant's WaveService, bootstrapped with a per-tenant Netnews
 /// first window so the daemon serves data from request 1.
 Result<std::unique_ptr<WaveService>> MakeTenant(
-    const Args& args, uint16_t tenant_id, obs::MetricsRegistry* registry) {
+    const Args& args, CodecMode codec, uint16_t tenant_id,
+    obs::MetricsRegistry* registry) {
   WaveService::Options options;
   WAVEKIT_ASSIGN_OR_RETURN(options.scheme,
                            SchemeKindFromName(args.Get("scheme", "wata")));
   WAVEKIT_ASSIGN_OR_RETURN(
       options.config.technique,
       UpdateTechniqueFromName(args.Get("technique", "simple-shadow")));
-  WAVEKIT_ASSIGN_OR_RETURN(options.config.codec,
-                           CodecModeFromName(args.Get("codec", "raw")));
+  options.config.codec = codec;
   options.config.window = args.GetInt("window", 7);
   options.config.num_indexes = args.GetInt("indexes", 3);
   const uint64_t records =
@@ -118,6 +118,11 @@ int Serve(const Args& args) {
       static_cast<uint16_t>(args.GetInt("port", 8787, 0, 65535));
   loop_options.idle_timeout_ms = args.GetInt("idle-timeout-ms", 30'000);
   const bool export_metrics = !args.GetBool("no-metrics");
+  const Result<CodecMode> codec = CodecModeFromName(args.Get("codec", "raw"));
+  if (!codec.ok()) {
+    std::cerr << "waved: " << codec.status() << "\n";
+    return 2;
+  }
   const auto exporter_port =
       static_cast<uint16_t>(args.GetInt("metrics-port", 0, 0, 65535));
 
@@ -133,7 +138,8 @@ int Serve(const Args& args) {
   serve::ServerCore core(core_options);
 
   for (int t = 0; t < tenants; ++t) {
-    auto service = MakeTenant(args, static_cast<uint16_t>(t), &registry);
+    auto service =
+        MakeTenant(args, *codec, static_cast<uint16_t>(t), &registry);
     if (!service.ok()) {
       std::cerr << "waved: tenant " << t << ": " << service.status() << "\n";
       return 1;
