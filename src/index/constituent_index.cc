@@ -1,7 +1,7 @@
 #include "index/constituent_index.h"
 
 #include <algorithm>
-#include <cstring>
+#include <cstdint>
 #include <map>
 
 #include "index/index_builder.h"
@@ -16,16 +16,27 @@ namespace {
 // The largest read batch of a scan, in stored bytes.
 constexpr uint64_t kScanBatchBytes = uint64_t{4} << 20;
 
-// Cuts the runs of one read batch, in buffer order, down to the runs that
-// cover its first `bytes` bytes.
-void TrimExtents(std::vector<Extent>* extents, uint64_t bytes) {
-  size_t keep = 0;
-  while (keep < extents->size() && bytes > 0) {
-    Extent& run = (*extents)[keep++];
-    run.length = std::min(run.length, bytes);
-    bytes -= run.length;
+// The extents of `run`, physically adjacent ones merged: each bucket's
+// whole extent, or only its stored bytes. A single extent goes to `*one`, so
+// a one-bucket read allocates nothing; more go to `*many`.
+template <typename BucketRef>
+std::span<const Extent> Coalesce(std::span<const BucketRef> run, bool whole,
+                                 Extent* one, std::vector<Extent>* many) {
+  for (const BucketRef& bucket : run) {
+    const Extent extent{bucket.info.extent.offset,
+                        whole ? bucket.info.extent.length
+                              : bucket.info.stored_length()};
+    if (run.size() == 1) {
+      *one = extent;
+      return std::span<const Extent>(one, 1);
+    }
+    if (!many->empty() && many->back().end() == extent.offset) {
+      many->back().length += extent.length;  // adjacent: extend the run
+    } else {
+      many->push_back(extent);
+    }
   }
-  extents->resize(keep);
+  return *many;
 }
 
 }  // namespace
@@ -53,30 +64,13 @@ void ConstituentIndex::Quarantine() const {
   }
 }
 
-Status ConstituentIndex::VerifyBucketBytes(const Value& value, uint32_t crc,
-                                           const std::byte* bytes,
-                                           uint64_t length) const {
-  if (!options_.verify_checksums) return Status::OK();
-  if (options_.integrity != nullptr) {
-    options_.integrity->verified_buckets.fetch_add(1,
-                                                   std::memory_order_relaxed);
-  }
-  return CheckBucketBytes(value, crc, bytes, length);
-}
-
-Status ConstituentIndex::CheckBucketBytes(const Value& value, uint32_t crc,
-                                          const std::byte* bytes,
-                                          uint64_t length) const {
-  if (!options_.verify_checksums) return Status::OK();
-  const uint32_t actual = Crc32c(bytes, length);
-  if (actual == crc) return Status::OK();
+Status ConstituentIndex::Corrupted(std::string message) const {
   if (options_.integrity != nullptr) {
     options_.integrity->corruptions_detected.fetch_add(
         1, std::memory_order_relaxed);
   }
   Quarantine();
-  return Status::DataLoss("checksum mismatch in bucket '" + value +
-                          "' of index " + name_);
+  return Status::DataLoss(std::move(message));
 }
 
 Status ConstituentIndex::DecodeStoredBucket(const Value& value, Codec codec,
@@ -89,66 +83,121 @@ Status ConstituentIndex::DecodeStoredBucket(const Value& value, Codec codec,
   // The checksum over the stored bytes passed (or was disabled), yet the
   // bytes do not decode: corruption the CRC could not see, or rot under a
   // verify_checksums=false configuration. Same treatment as a mismatch.
-  if (options_.integrity != nullptr) {
-    options_.integrity->corruptions_detected.fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  Quarantine();
-  return Status::DataLoss("bucket '" + value + "' of index " + name_ +
-                          " failed to decode: " + status.message());
+  return Corrupted("bucket '" + value + "' of index " + name_ +
+                   " failed to decode: " + status.message());
 }
 
-Status ConstituentIndex::ReadBucketEntries(const Value& value,
-                                           const BucketInfo& info,
-                                           std::vector<Entry>* out) const {
-  const size_t previous = out->size();
-  out->resize(previous + info.count);
-  if (info.count == 0) return Status::OK();
-
-  // Compressed buckets read the stored (encoded) bytes into scratch and
-  // decode at this boundary; raw buckets read entries straight into `out`.
-  std::vector<std::byte> scratch;
-  const Extent stored{info.extent.offset, info.stored_length()};
-  std::byte* bytes;
-  if (info.codec == Codec::kRaw) {
-    bytes = reinterpret_cast<std::byte*>(out->data() + previous);
-  } else {
-    scratch.resize(static_cast<size_t>(stored.length));
-    bytes = scratch.data();
-  }
-  const std::span<std::byte> span(bytes, static_cast<size_t>(stored.length));
-  Status status;
+template <typename Visit>
+Status ConstituentIndex::ReadVerified(std::span<const BucketRef> run,
+                                      bool whole_extents,
+                                      std::span<std::byte> buffer,
+                                      const Visit& visit) const {
+  Extent one;
+  std::vector<Extent> many;
+  const std::span<const Extent> extents =
+      Coalesce(run, whole_extents, &one, &many);
+  // Verification happens at the trust boundary, the medium. A batch served
+  // wholly from cache bytes that MarkVerified promoted (every byte
+  // checksum-verified since it last crossed the medium) is handed on
+  // without re-verification: re-hashing DRAM-resident bytes on every read
+  // catches nothing the background scrubber (which reads the medium,
+  // beneath the cache) does not already cover, and would cost more than
+  // the read itself on dense windows.
+  bool all_trusted = false;
+  uint64_t fill_token = 0;
   if (options_.verify_checksums) {
-    // Verify at the trust boundary (storage/device.h ReadBatchTracked): a
-    // bucket served entirely from checksum-verified resident cache bytes
-    // skips re-hashing; a verified medium read promotes those bytes so the
-    // next probe of the same hot bucket can skip.
-    const std::span<const Extent> extents(&stored, 1);
-    bool trusted = false;
-    uint64_t fill_token = 0;
-    status = device_->ReadBatchTracked(extents, span, &trusted, &fill_token);
-    if (status.ok()) {
-      if (trusted) {
-        if (options_.integrity != nullptr) {
-          options_.integrity->trusted_buckets.fetch_add(
-              1, std::memory_order_relaxed);
-        }
-      } else {
-        status = VerifyBucketBytes(value, info.crc, bytes, stored.length);
-        if (status.ok()) device_->MarkVerified(extents, fill_token);
+    WAVEKIT_RETURN_NOT_OK(
+        device_->ReadBatchTracked(extents, buffer, &all_trusted, &fill_token));
+  } else {
+    WAVEKIT_RETURN_NOT_OK(device_->ReadBatch(extents, buffer));
+  }
+  // One fused pass: check bucket k, issue bucket k+1's checksum chain, THEN
+  // hand bucket k on. A bucket is never handed on before its own checksum
+  // passes, and the next bucket's CRC (a serial dependency chain through a
+  // 3-cycle-latency instruction) retires in the out-of-order shadow of the
+  // caller's work on the current bucket instead of stalling a dedicated
+  // verification pass. Buckets earlier in the run have already been handed
+  // on when a later one turns out corrupt, the same exposure as a corrupt
+  // bucket in a later run. The stats are charged once per run.
+  const size_t total = run.size();
+  const bool verify = options_.verify_checksums && !all_trusted;
+  size_t handed = 0;  // buckets handed to `visit`
+  size_t bad = total;  // the corrupt bucket, or total when clean
+  uint64_t at = 0;     // offset of bucket k within the buffer
+  const auto stored = [&](size_t k) { return run[k].info.stored_length(); };
+  uint32_t actual = verify ? Crc32c(buffer.data(), stored(0)) : 0;
+  for (size_t k = 0; k < total; ++k) {
+    const uint64_t length =
+        whole_extents ? run[k].info.extent.length : stored(k);
+    if (verify) {
+      if (actual != run[k].info.crc) {
+        bad = k;
+        break;
+      }
+      if (k + 1 < total) {
+        actual = Crc32c(buffer.data() + at + length, stored(k + 1));
       }
     }
-  } else {
-    status = device_->Read(stored.offset, span);
+    ++handed;
+    if (!visit(k, buffer.data() + at)) break;
+    at += length;
   }
+  if (options_.integrity != nullptr && options_.verify_checksums) {
+    (verify ? options_.integrity->verified_buckets
+            : options_.integrity->trusted_buckets)
+        .fetch_add(bad == total ? handed : bad + 1, std::memory_order_relaxed);
+  }
+  if (bad != total) {
+    return Corrupted("checksum mismatch in bucket '" + *run[bad].value +
+                     "' of index " + name_);
+  }
+  if (verify && handed > 0) {
+    // Every byte checked came out clean: mark those bytes of still-resident
+    // cache blocks so the next read of them can skip. Slack and the buckets
+    // after a stop were never checked and stay untrusted.
+    many.clear();
+    device_->MarkVerified(Coalesce(run.first(handed), /*whole=*/false, &one,
+                                   &many),
+                          fill_token);
+  }
+  return Status::OK();
+}
+
+template <typename Keep>
+Status ConstituentIndex::CollectBucket(const Value& value,
+                                       const BucketInfo& info,
+                                       const Keep& keep,
+                                       std::vector<Entry>* out) const {
+  if (info.count == 0) return Status::OK();
+  const size_t previous = out->size();
+  out->resize(previous + info.count);
+  Entry* entries = out->data() + previous;
+  std::vector<std::byte> scratch;
+  std::span<std::byte> buffer(reinterpret_cast<std::byte*>(entries),
+                              info.count * kEntrySize);
+  if (info.codec != Codec::kRaw) {
+    scratch.resize(static_cast<size_t>(info.stored_length()));
+    buffer = scratch;
+  }
+  const BucketRef bucket{&value, info};
+  Status status =
+      ReadVerified(std::span<const BucketRef>(&bucket, 1),
+                   /*whole_extents=*/false, buffer,
+                   [](size_t, const std::byte*) { return true; });
   if (status.ok() && info.codec != Codec::kRaw) {
-    status = DecodeStoredBucket(value, info.codec, bytes, stored.length,
-                                info.count, out->data() + previous);
+    status = DecodeStoredBucket(value, info.codec, scratch.data(),
+                                scratch.size(), info.count, entries);
   }
   // A failed read, checksum, or decode must not hand unverified entries to
   // the caller alongside the error.
-  if (!status.ok()) out->resize(previous);
-  return status;
+  if (!status.ok()) {
+    out->resize(previous);
+    return status;
+  }
+  out->erase(std::remove_if(out->begin() + previous, out->end(),
+                            [&](const Entry& e) { return !keep(e); }),
+             out->end());
+  return Status::OK();
 }
 
 Status ConstituentIndex::WriteEntriesAt(uint64_t offset,
@@ -181,14 +230,12 @@ Status ConstituentIndex::TimedProbe(const Value& value, const DayRange& range,
   if (info == nullptr) return Status::OK();
   if (range.Covers(time_set_)) {
     // All entries qualify; no per-entry timestamp check needed.
-    return ReadBucketEntries(value, *info, out);
+    return CollectBucket(
+        value, *info, [](const Entry&) { return true; }, out);
   }
-  std::vector<Entry> bucket;
-  WAVEKIT_RETURN_NOT_OK(ReadBucketEntries(value, *info, &bucket));
-  for (const Entry& e : bucket) {
-    if (range.Contains(e.day)) out->push_back(e);
-  }
-  return Status::OK();
+  return CollectBucket(
+      value, *info, [&](const Entry& e) { return range.Contains(e.day); },
+      out);
 }
 
 Status ConstituentIndex::Scan(const EntryCallback& callback) const {
@@ -200,141 +247,53 @@ Status ConstituentIndex::TimedScan(const DayRange& range,
                                    uint64_t limit) const {
   if (limit == 0) return Status::OK();
   const bool covered = range.Covers(time_set_);
-  // Coalesce physically adjacent live regions into runs (a packed index is
-  // one run) and issue one ReadBatch per `batch_bytes` of pending buckets —
-  // one device round-trip (and, in a serving stack, one metering round) per
-  // batch instead of per bucket. The first batch is sized to the limit and
-  // each later one doubles; any limit of kScanBatchBytes / kEntrySize or
-  // more (kNoEntryLimit among them) reads kScanBatchBytes from the first.
+  // Read the buckets in runs of `batch_bytes` stored bytes: one device
+  // round-trip (and, in a serving stack, one metering round) per run
+  // instead of per bucket. The first run is sized to the limit and each
+  // later one doubles; any limit of kScanBatchBytes / kEntrySize or more
+  // (kNoEntryLimit among them) reads kScanBatchBytes from the first.
   uint64_t batch_bytes =
       std::min(limit, kScanBatchBytes / kEntrySize) * kEntrySize;
   uint64_t remaining = limit;  // entries the scan may still deliver
-  // Pending buckets in structure-of-arrays form so the fused verify+deliver
-  // loop below touches a few small dense arrays, not a vector of structs.
-  std::vector<Extent> extents;
-  std::vector<const Value*> pending_values;
-  std::vector<uint32_t> pending_lengths;  // stored bytes per bucket
-  std::vector<uint32_t> pending_counts;   // live entries per bucket
-  std::vector<Codec> pending_codecs;
-  std::vector<uint32_t> pending_crcs;
+  std::vector<BucketRef> run;
+  uint64_t run_bytes = 0;
   std::vector<std::byte> buffer;
-  std::vector<Entry> scratch;  // decode target for compressed buckets
-  uint64_t pending_bytes = 0;
-
-  auto flush = [&]() -> Status {
-    if (pending_values.empty()) return Status::OK();
-    buffer.resize(static_cast<size_t>(pending_bytes));
-    const std::span<std::byte> out(buffer.data(),
-                                   static_cast<size_t>(pending_bytes));
-    // Verification happens at the trust boundary — the medium. A batch
-    // served wholly from cache blocks that MarkVerified promoted (every byte
-    // checksum-verified since it last crossed the medium) is delivered
-    // without re-verification: re-hashing DRAM-resident bytes on every scan
-    // catches nothing the background scrubber (which reads the medium,
-    // bypassing the cache) does not already cover, and would cost more than
-    // the scan itself on dense windows.
-    bool all_trusted = false;
-    uint64_t fill_token = 0;
-    if (options_.verify_checksums) {
-      WAVEKIT_RETURN_NOT_OK(
-          device_->ReadBatchTracked(extents, out, &all_trusted, &fill_token));
-    } else {
-      WAVEKIT_RETURN_NOT_OK(device_->ReadBatch(extents, out));
+  std::vector<Entry> scratch;  // decode target off the in-place path
+  Status decoded;
+  // Delivers checked bucket k of the run; false once the limit is reached
+  // or the bucket does not decode.
+  auto deliver = [&](size_t k, const std::byte* stored) {
+    const Value& value = *run[k].value;
+    const BucketInfo& info = run[k].info;
+    const Entry* bucket = reinterpret_cast<const Entry*>(stored);
+    // An all-raw run keeps every bucket at an entry-aligned offset and
+    // delivers in place; a compressed predecessor can leave a raw bucket
+    // unaligned, and then it is copied out like a decode.
+    if (info.codec != Codec::kRaw ||
+        reinterpret_cast<uintptr_t>(stored) % alignof(Entry) != 0) {
+      scratch.resize(info.count);
+      decoded = DecodeStoredBucket(value, info.codec, stored,
+                                   info.stored_length(), info.count,
+                                   scratch.data());
+      if (!decoded.ok()) return false;
+      bucket = scratch.data();
     }
-    // One fused pass: check bucket k, issue bucket k+1's checksum chain,
-    // THEN deliver bucket k. A bucket's entries are never delivered before
-    // its own checksum passes, and the next bucket's CRC — a serial
-    // dependency chain through a 3-cycle-latency instruction — retires in
-    // the out-of-order shadow of the current bucket's callback work instead
-    // of stalling a dedicated verification pass. (Buckets earlier in the
-    // batch have already been delivered when a later one turns out corrupt —
-    // the same exposure as a corrupt bucket in a later flush.) The
-    // verified-buckets stat is charged once per flush, not per bucket.
-    const size_t total = pending_values.size();
-    const bool verify = options_.verify_checksums && !all_trusted;
-    size_t bad = total;        // first corrupt bucket, or total when clean
-    size_t delivered = total;  // buckets delivered before the limit stopped
-    size_t at = 0;             // byte offset of bucket k within the buffer
-    uint32_t actual = verify ? Crc32c(buffer.data(), pending_lengths[0]) : 0;
-    for (size_t k = 0; k < total; ++k) {
-      const uint32_t length = pending_lengths[k];
-      if (verify) {
-        if (actual != pending_crcs[k]) {
-          bad = k;
-          break;
-        }
-        if (k + 1 < total) {
-          actual = Crc32c(buffer.data() + at + length, pending_lengths[k + 1]);
-        }
-      }
-      const Value& value = *pending_values[k];
-      const uint32_t count = pending_counts[k];
-      const std::byte* stored = buffer.data() + at;
-      const Entry* bucket;
-      if (pending_codecs[k] == Codec::kRaw) {
-        // An all-raw batch keeps every bucket at an entry-aligned offset and
-        // delivers in place; a compressed predecessor can leave this one
-        // unaligned, in which case it is copied out first.
-        if (reinterpret_cast<uintptr_t>(stored) % alignof(Entry) == 0) {
-          bucket = reinterpret_cast<const Entry*>(stored);
-        } else {
-          scratch.resize(count);
-          std::memcpy(scratch.data(), stored, length);
-          bucket = scratch.data();
-        }
-      } else {
-        scratch.resize(count);
-        WAVEKIT_RETURN_NOT_OK(DecodeStoredBucket(
-            value, pending_codecs[k], stored, length, count, scratch.data()));
-        bucket = scratch.data();
-      }
-      for (uint32_t i = 0; i < count && remaining > 0; ++i) {
-        const Entry& e = bucket[i];
-        if (covered || range.Contains(e.day)) {
-          callback(value, e);
-          --remaining;
-        }
-      }
-      at += length;
-      if (remaining == 0) {
-        delivered = k + 1;
-        break;
+    for (uint32_t i = 0; i < info.count && remaining > 0; ++i) {
+      const Entry& e = bucket[i];
+      if (covered || range.Contains(e.day)) {
+        callback(value, e);
+        --remaining;
       }
     }
-    if (options_.integrity != nullptr && options_.verify_checksums) {
-      if (verify) {
-        options_.integrity->verified_buckets.fetch_add(
-            bad == total ? delivered : bad + 1, std::memory_order_relaxed);
-      } else {
-        options_.integrity->trusted_buckets.fetch_add(
-            delivered, std::memory_order_relaxed);
-      }
-    }
-    if (bad != total) {
-      // Recheck the failing bucket through the usual path for the corruption
-      // accounting, the quarantine, and the error message. `at` is its
-      // offset: the loop broke before advancing past bucket `bad`.
-      WAVEKIT_RETURN_NOT_OK(CheckBucketBytes(*pending_values[bad],
-                                             pending_crcs[bad],
-                                             buffer.data() + at,
-                                             pending_lengths[bad]));
-    }
-    if (verify && bad == total) {
-      // Every byte the scan checksummed came out clean: mark those bytes of
-      // still-resident cache blocks so the next scan over them can skip. A
-      // batch the limit stopped in checked only its first `at` bytes; the
-      // buckets after them stay untrusted.
-      if (delivered < total) TrimExtents(&extents, at);
-      device_->MarkVerified(extents, fill_token);
-    }
-    extents.clear();
-    pending_values.clear();
-    pending_lengths.clear();
-    pending_counts.clear();
-    pending_codecs.clear();
-    pending_crcs.clear();
-    pending_bytes = 0;
-    return Status::OK();
+    return remaining > 0;
+  };
+  auto read_run = [&]() -> Status {
+    buffer.resize(static_cast<size_t>(run_bytes));
+    WAVEKIT_RETURN_NOT_OK(
+        ReadVerified(run, /*whole_extents=*/false, buffer, deliver));
+    run.clear();
+    run_bytes = 0;
+    return decoded;
   };
 
   for (const Value& value : layout_order_) {
@@ -344,25 +303,15 @@ Status ConstituentIndex::TimedScan(const DayRange& range,
                               "' in index " + name_);
     }
     if (info->count == 0) continue;
-    const Extent live{info->extent.offset, info->stored_length()};
-    if (!extents.empty() && extents.back().end() == live.offset) {
-      extents.back().length += live.length;  // adjacent: extend the run
-    } else {
-      extents.push_back(live);
-    }
-    pending_values.push_back(&value);
-    pending_lengths.push_back(static_cast<uint32_t>(live.length));
-    pending_counts.push_back(info->count);
-    pending_codecs.push_back(info->codec);
-    pending_crcs.push_back(info->crc);
-    pending_bytes += live.length;
-    if (pending_bytes >= batch_bytes) {
-      WAVEKIT_RETURN_NOT_OK(flush());
+    run.push_back(BucketRef{&value, *info});
+    run_bytes += info->stored_length();
+    if (run_bytes >= batch_bytes) {
+      WAVEKIT_RETURN_NOT_OK(read_run());
       if (remaining == 0) return Status::OK();
       batch_bytes = std::min(2 * batch_bytes, kScanBatchBytes);
     }
   }
-  return flush();
+  return run.empty() ? Status::OK() : read_run();
 }
 
 Status ConstituentIndex::ForEachBucket(
@@ -404,14 +353,15 @@ Status ConstituentIndex::AppendEntries(const Value& value,
   } else {
     // CONTIGUOUS overflow: relocate to a g-times-larger extent. A compressed
     // bucket (count == capacity, so never appendable in place) lands here
-    // too: ReadBucketEntries decodes it and the rewrite is kRaw —
+    // too: it is read decoded and the rewrite is kRaw —
     // rewrite-on-mutation keeps simple constituents appendable.
     const uint32_t needed =
         info->count + static_cast<uint32_t>(entries.size());
     const uint32_t new_capacity =
         options_.growth.GrownCapacity(info->capacity, needed);
     std::vector<Entry> existing;
-    WAVEKIT_RETURN_NOT_OK(ReadBucketEntries(value, *info, &existing));
+    WAVEKIT_RETURN_NOT_OK(CollectBucket(
+        value, *info, [](const Entry&) { return true; }, &existing));
     existing.insert(existing.end(), entries.begin(), entries.end());
     WAVEKIT_ASSIGN_OR_RETURN(
         Extent new_extent,
@@ -450,7 +400,6 @@ Status ConstituentIndex::DeleteDays(const TimeSet& days) {
   if (days.empty()) return Status::OK();
   // Iterate over a copy: emptied values are removed from layout_order_.
   const std::vector<Value> values = layout_order_;
-  std::vector<Entry> bucket;
   std::vector<Entry> kept;
   for (const Value& value : values) {
     BucketInfo* info = directory_.Find(value);
@@ -458,16 +407,14 @@ Status ConstituentIndex::DeleteDays(const TimeSet& days) {
       return Status::Internal("layout order lists unknown value '" + value +
                               "' in index " + name_);
     }
-    bucket.clear();
-    WAVEKIT_RETURN_NOT_OK(ReadBucketEntries(value, *info, &bucket));
     kept.clear();
-    for (const Entry& e : bucket) {
-      if (!days.contains(e.day)) kept.push_back(e);
-    }
-    if (kept.size() == bucket.size()) continue;  // nothing expired here
+    WAVEKIT_RETURN_NOT_OK(CollectBucket(
+        value, *info, [&](const Entry& e) { return !days.contains(e.day); },
+        &kept));
+    if (kept.size() == info->count) continue;  // nothing expired here
     // entry_count_ drops only once the bucket's rewrite has succeeded, so a
     // failed write leaves the accounting consistent with the directory.
-    const uint64_t expired = bucket.size() - kept.size();
+    const uint64_t expired = info->count - kept.size();
     if (kept.empty()) {
       WAVEKIT_RETURN_NOT_OK(RemoveValue(value));
       entry_count_ -= expired;
@@ -555,160 +502,76 @@ Result<std::unique_ptr<ConstituentIndex>> ConstituentIndex::Clone(
 Result<std::unique_ptr<ConstituentIndex>> ConstituentIndex::CloneTo(
     Device* device, ExtentAllocator* allocator, std::string name,
     const ParallelContext& parallel) const {
-  if (parallel.enabled()) {
-    return CloneToParallel(device, allocator, std::move(name), parallel);
-  }
-  auto clone = std::make_unique<ConstituentIndex>(device, allocator, options_,
-                                                  std::move(name));
-  // One region for all buckets keeps the copy contiguous (and the copy I/O
-  // sequential), like the paper's CP: read everything, flush elsewhere.
-  WAVEKIT_ASSIGN_OR_RETURN(Extent region,
-                           allocator->Allocate(allocated_bytes_));
-  uint64_t cursor = region.offset;
-  std::vector<std::byte> buffer;
-  for (const Value& value : layout_order_) {
-    const BucketInfo* info = directory_.Find(value);
-    Status status;
-    if (info == nullptr) {
-      status = Status::Internal("layout order lists unknown value '" + value +
-                                "' in index " + name_);
-    } else {
-      // Copy the full capacity (slack included), preserving S' footprint. A
-      // compressed extent is exactly its stored bytes; the clone keeps the
-      // codec (no decode/re-encode round trip on the copy path).
-      buffer.resize(info->extent.length);
-      status = device_->Read(info->extent.offset, buffer);
-      // Verify before propagating: a clone must not launder corrupt bytes
-      // into a fresh extent with a recomputed checksum.
-      if (status.ok()) {
-        status = VerifyBucketBytes(value, info->crc, buffer.data(),
-                                   info->stored_length());
-      }
-      if (status.ok()) status = device->Write(cursor, buffer);
-      if (status.ok()) {
-        status = clone->InstallBucket(
-            value, BucketInfo{Extent{cursor, info->extent.length},
-                              info->count, info->capacity, info->crc,
-                              info->codec});
-      }
-    }
-    if (!status.ok()) {
-      // The clone's destructor frees the buckets it installed; the rest of
-      // the region is freed here.
-      (void)allocator->Free(Extent{cursor, region.end() - cursor});
-      return status;
-    }
-    cursor += info->extent.length;
-  }
-  clone->time_set_ = time_set_;
-  clone->packed_ = packed_;
-  return clone;
-}
-
-Result<std::unique_ptr<ConstituentIndex>> ConstituentIndex::CloneToParallel(
-    Device* device, ExtentAllocator* allocator, std::string name,
-    const ParallelContext& parallel) const {
-  auto clone = std::make_unique<ConstituentIndex>(device, allocator, options_,
-                                                  std::move(name));
-  // Snapshot the bucket list and destination layout serially (the directory
-  // is not thread-safe); tasks then touch only their own slice.
-  struct CopyPlan {
-    const Value* value;
-    Extent source;
-    uint64_t target_offset;  // relative to the region start
-    uint64_t stored;         // checksummed bytes at the extent's start
-    uint32_t count;
-    uint32_t capacity;
-    uint32_t crc;
-    Codec codec;
-  };
-  std::vector<CopyPlan> plan;
-  plan.reserve(layout_order_.size());
-  uint64_t running = 0;
+  // Plan once: every bucket in layout order, copied whole (slack included,
+  // preserving the S' footprint) to the same place in one fresh region, so
+  // the copy is contiguous and its I/O sequential, like the paper's CP. A
+  // compressed extent is exactly its stored bytes; the clone keeps the
+  // codec (no decode/re-encode round trip on the copy path).
+  std::vector<BucketRef> sources;
+  std::vector<BucketInfo> copies;  // the clone's buckets, offsets in region
+  sources.reserve(layout_order_.size());
+  copies.reserve(layout_order_.size());
+  uint64_t size = 0;
   for (const Value& value : layout_order_) {
     const BucketInfo* info = directory_.Find(value);
     if (info == nullptr) {
       return Status::Internal("layout order lists unknown value '" + value +
                               "' in index " + name_);
     }
-    plan.push_back(CopyPlan{&value, info->extent, running,
-                            info->stored_length(), info->count,
-                            info->capacity, info->crc, info->codec});
-    running += info->extent.length;
+    sources.push_back(BucketRef{&value, *info});
+    copies.push_back(*info);
+    copies.back().extent.offset = size;
+    size += info->extent.length;
   }
-  WAVEKIT_ASSIGN_OR_RETURN(Extent region,
-                           allocator->Allocate(allocated_bytes_));
+  WAVEKIT_ASSIGN_OR_RETURN(Extent region, allocator->Allocate(size));
+  for (BucketInfo& copy : copies) copy.extent.offset += region.offset;
 
-  const size_t parts = parallel.Partitions(plan.size());
-  std::vector<Status> copy_status(std::max<size_t>(parts, 1), Status::OK());
-  {
-    ThreadPool::WaitGroup group(parallel.pool);
-    for (size_t p = 0; p < parts; ++p) {
-      group.Submit([&, p]() {
-        Status status = CrashPoints::Check("clone.parallel.copy");
-        if (!status.ok()) {
-          copy_status[p] = std::move(status);
-          return;
+  // Serially: one read and then one write per bucket. In parallel: each
+  // slice in ~1 MiB batches; the slices cover disjoint parts of the region,
+  // so their writes never overlap. Either way every bucket is checked
+  // before its bytes land anywhere: a clone must not launder corrupt bytes
+  // into a fresh extent with a recomputed checksum.
+  const uint64_t batch_bytes =
+      parallel.enabled() ? IndexBuilder::kWriteChunkBytes : 0;
+  Status copied = ForEachSlice(
+      parallel, sources.size(), [&](size_t, size_t begin, size_t end) {
+        if (parallel.enabled()) {
+          WAVEKIT_RETURN_NOT_OK(CrashPoints::Check("clone.parallel.copy"));
         }
-        const size_t begin = plan.size() * p / parts;
-        const size_t end = plan.size() * (p + 1) / parts;
-        std::vector<Extent> sources;
-        std::vector<Extent> targets;
-        std::vector<const CopyPlan*> batched;
         std::vector<std::byte> buffer;
-        uint64_t pending = 0;
-        auto flush = [&]() -> Status {
-          if (sources.empty()) return Status::OK();
-          buffer.resize(static_cast<size_t>(pending));
-          WAVEKIT_RETURN_NOT_OK(device_->ReadBatch(sources, buffer));
-          // Verify each bucket's stored bytes in the batch before the copy
-          // lands anywhere (same rule as the serial clone).
-          uint64_t at = 0;
-          for (const CopyPlan* bucket : batched) {
-            WAVEKIT_RETURN_NOT_OK(VerifyBucketBytes(
-                *bucket->value, bucket->crc,
-                buffer.data() + static_cast<size_t>(at), bucket->stored));
-            at += bucket->source.length;
-          }
-          WAVEKIT_RETURN_NOT_OK(device->WriteBatch(targets, buffer));
-          sources.clear();
-          targets.clear();
-          batched.clear();
-          pending = 0;
-          return Status::OK();
-        };
-        for (size_t i = begin; i < end; ++i) {
-          const CopyPlan& bucket = plan[i];
-          sources.push_back(bucket.source);
-          targets.push_back(
-              Extent{region.offset + bucket.target_offset,
-                     bucket.source.length});
-          batched.push_back(&bucket);
-          pending += bucket.source.length;
-          if (pending >= IndexBuilder::kWriteChunkBytes) {
-            status = flush();
-            if (!status.ok()) break;
-          }
+        for (size_t first = begin; first < end;) {
+          size_t last = first;
+          uint64_t bytes = 0;
+          do {
+            bytes += sources[last++].info.extent.length;
+          } while (last < end && bytes < batch_bytes);
+          buffer.resize(static_cast<size_t>(bytes));
+          WAVEKIT_RETURN_NOT_OK(ReadVerified(
+              std::span<const BucketRef>(sources).subspan(first, last - first),
+              /*whole_extents=*/true, buffer,
+              [](size_t, const std::byte*) { return true; }));
+          WAVEKIT_RETURN_NOT_OK(
+              device->Write(copies[first].extent.offset, buffer));
+          first = last;
         }
-        if (status.ok()) status = flush();
-        copy_status[p] = std::move(status);
+        return Status::OK();
       });
-    }
-    group.Wait();
+  if (!copied.ok()) {
+    // Nothing is installed yet: the whole region goes back in one piece.
+    (void)allocator->Free(region);
+    return copied;
   }
-  for (Status& status : copy_status) {
-    if (!status.ok()) {
-      // Nothing was installed: the whole region goes back in one piece.
-      (void)allocator->Free(region);
-      return std::move(status);
+
+  auto clone = std::make_unique<ConstituentIndex>(device, allocator, options_,
+                                                  std::move(name));
+  for (size_t i = 0; i < copies.size(); ++i) {
+    Status installed = clone->InstallBucket(*sources[i].value, copies[i]);
+    if (!installed.ok()) {
+      // The installed prefix is the clone's to free; the rest is ours.
+      (void)allocator->Free(Extent{copies[i].extent.offset,
+                                   region.end() - copies[i].extent.offset});
+      return installed;
     }
-  }
-  for (const CopyPlan& bucket : plan) {
-    WAVEKIT_RETURN_NOT_OK(clone->InstallBucket(
-        *bucket.value,
-        BucketInfo{
-            Extent{region.offset + bucket.target_offset, bucket.source.length},
-            bucket.count, bucket.capacity, bucket.crc, bucket.codec}));
   }
   clone->time_set_ = time_set_;
   clone->packed_ = packed_;

@@ -46,8 +46,8 @@ inline constexpr uint64_t kNoEntryLimit = UINT64_MAX;
 struct IntegrityStats {
   /// Buckets whose checksum was verified on a read path.
   std::atomic<uint64_t> verified_buckets{0};
-  /// Buckets served wholly from verified-resident cache blocks, so batch
-  /// scans skipped re-verifying them (storage/device.h ReadBatchTracked).
+  /// Buckets served wholly from verified-resident cache blocks, so reads
+  /// skipped re-verifying them (storage/device.h ReadBatchTracked).
   std::atomic<uint64_t> trusted_buckets{0};
   /// Checksum mismatches detected (read path or scrub).
   std::atomic<uint64_t> corruptions_detected{0};
@@ -241,9 +241,13 @@ class ConstituentIndex {
 
   /// The CP operation: copies every bucket (full capacity, preserving slack)
   /// into one fresh contiguous region and returns the copy. Reads and writes
-  /// allocated_bytes() each way. With `parallel.enabled()` the bucket range
-  /// is partitioned across the pool and copied with batched reads/writes;
-  /// the resulting clone is identical either way (same layout, same bytes).
+  /// allocated_bytes() each way, checking each bucket's stored bytes like a
+  /// scan does (bytes the cache holds as verified are not re-hashed) before
+  /// they land anywhere. Serially it issues one read and then one write per
+  /// bucket, in layout order; with `parallel.enabled()` each of the pool's
+  /// slices of the bucket range is copied in ~1 MiB batches. The clone is
+  /// identical either way (same layout, same bytes). On failure the region
+  /// is freed and the source is untouched.
   Result<std::unique_ptr<ConstituentIndex>> Clone(
       std::string name, const ParallelContext& parallel = {}) const;
 
@@ -268,15 +272,37 @@ class ConstituentIndex {
   Status CheckConsistency() const;
 
  private:
-  // CP with the bucket range partitioned over the pool: each task copies its
-  // buckets with batched reads/writes into a disjoint slice of one fresh
-  // region; metadata installs serially afterwards.
-  Result<std::unique_ptr<ConstituentIndex>> CloneToParallel(
-      Device* device, ExtentAllocator* allocator, std::string name,
-      const ParallelContext& parallel) const;
+  /// A bucket as a read sees it: its value and a copy of its directory
+  /// entry, so a run of buckets is one dense array.
+  struct BucketRef {
+    const Value* value;
+    BucketInfo info;
+  };
 
-  Status ReadBucketEntries(const Value& value, const BucketInfo& info,
-                           std::vector<Entry>* out) const;
+  /// The one verified bucket read, and the only code that reads bucket
+  /// bytes from the device or marks them verified. Reads `run`, buckets in
+  /// layout order, back to back into `buffer` with one device batch over
+  /// their coalesced extents: each bucket's stored bytes, or its whole
+  /// extent when `whole_extents` (a clone copies slack too). Unless the
+  /// device reports the whole batch trusted, it checks each bucket's
+  /// CRC-32C over its stored bytes before handing them on; a mismatch
+  /// quarantines the constituent and fails with DataLoss. It hands bucket
+  /// k's bytes to `visit(k, bytes)` in order until `visit` returns false,
+  /// counts the buckets it handed on as verified or trusted, and marks
+  /// verified only the stored bytes of the buckets it checked. `buffer`
+  /// holds exactly the run's bytes.
+  template <typename Visit>
+  Status ReadVerified(std::span<const BucketRef> run, bool whole_extents,
+                      std::span<std::byte> buffer, const Visit& visit) const;
+
+  /// Appends the entries of one bucket that `keep(entry)` accepts to
+  /// `*out`, read through ReadVerified: a raw bucket's bytes land straight
+  /// in `*out`, a compressed one is decoded there from scratch, and either
+  /// is then filtered in place. On failure `*out` is left as it was.
+  template <typename Keep>
+  Status CollectBucket(const Value& value, const BucketInfo& info,
+                       const Keep& keep, std::vector<Entry>* out) const;
+
   Status WriteEntriesAt(uint64_t offset, std::span<const Entry> entries);
   /// Allocates `length` bytes and writes `entries` at their start. A failed
   /// write frees the extent again, so a failed mutation leaks nothing.
@@ -284,21 +310,12 @@ class ConstituentIndex {
                                   std::span<const Entry> entries);
   Status RemoveValue(const Value& value);
 
-  /// Verifies `crc` against the `length` stored bytes just read for
-  /// `value`'s bucket (the live prefix for kRaw, the whole encoded extent
-  /// for compressed codecs). OK when verification is disabled; on mismatch
-  /// quarantines the constituent and returns DataLoss.
-  Status VerifyBucketBytes(const Value& value, uint32_t crc,
-                           const std::byte* bytes, uint64_t length) const;
-  /// VerifyBucketBytes without the per-bucket verified_buckets accounting —
-  /// batch read paths verify thousands of buckets per flush and charge the
-  /// stats atomic once instead of per bucket.
-  Status CheckBucketBytes(const Value& value, uint32_t crc,
-                          const std::byte* bytes, uint64_t length) const;
-  /// Decodes a compressed bucket's stored bytes into `out` (exactly
-  /// `count` entries). A decode failure is corruption that slipped past (or
-  /// bypassed) the checksum: it bumps the corruption counters, quarantines
-  /// the constituent, and returns DataLoss.
+  /// Corruption found on a read: bumps the corruption counter, quarantines
+  /// the constituent and returns DataLoss with `message`.
+  Status Corrupted(std::string message) const;
+  /// Decodes a bucket's stored bytes into `out` (exactly `count` entries;
+  /// a raw bucket is copied). A decode failure is corruption that slipped
+  /// past (or bypassed) the checksum, and is treated as one.
   Status DecodeStoredBucket(const Value& value, Codec codec,
                             const std::byte* bytes, uint64_t length,
                             uint32_t count, Entry* out) const;

@@ -13,33 +13,6 @@ namespace wavekit {
 
 namespace {
 
-// Calls fn(part, begin, end) for each of parallel.Partitions(items)
-// contiguous slices of [0, items): as tasks on the pool when `parallel` is
-// enabled, inline as one slice otherwise.
-template <typename Fn>
-void ForEachSlice(const ParallelContext& parallel, size_t items,
-                  const Fn& fn) {
-  if (!parallel.enabled()) {
-    fn(size_t{0}, size_t{0}, items);
-    return;
-  }
-  const size_t parts = parallel.Partitions(items);
-  ThreadPool::WaitGroup group(parallel.pool);
-  for (size_t p = 0; p < parts; ++p) {
-    group.Submit([&fn, p, parts, items]() {
-      fn(p, items * p / parts, items * (p + 1) / parts);
-    });
-  }
-  group.Wait();
-}
-
-Status FirstError(std::vector<Status>& statuses) {
-  for (Status& status : statuses) {
-    if (!status.ok()) return std::move(status);
-  }
-  return Status::OK();
-}
-
 using GroupMap = std::map<Value, std::vector<Entry>>;
 
 // Pass 1: entries grouped per value in sorted value order (the on-device
@@ -56,26 +29,24 @@ Result<PackedBuckets> GroupBatches(std::span<const DayBatch* const> batches,
                                    std::vector<GroupMap>* groups) {
   std::vector<GroupMap>& local = *groups;
   local.resize(parallel.Partitions(batches.size()));
-  std::vector<Status> group_status(local.size());
-  ForEachSlice(parallel, batches.size(),
-               [&](size_t p, size_t begin, size_t end) {
-                 if (parallel.enabled()) {
-                   group_status[p] =
-                       CrashPoints::Check("builder.parallel.group");
-                   if (!group_status[p].ok()) return;
-                 }
-                 auto& mine = local[p];
-                 for (size_t b = begin; b < end; ++b) {
-                   const DayBatch* batch = batches[b];
-                   for (const Record& record : batch->records) {
-                     for (size_t i = 0; i < record.values.size(); ++i) {
-                       mine[record.values[i]].push_back(Entry{
-                           record.record_id, batch->day, record.AuxFor(i)});
-                     }
-                   }
-                 }
-               });
-  WAVEKIT_RETURN_NOT_OK(FirstError(group_status));
+  WAVEKIT_RETURN_NOT_OK(ForEachSlice(
+      parallel, batches.size(),
+      [&](size_t p, size_t begin, size_t end) -> Status {
+        if (parallel.enabled()) {
+          WAVEKIT_RETURN_NOT_OK(CrashPoints::Check("builder.parallel.group"));
+        }
+        auto& mine = local[p];
+        for (size_t b = begin; b < end; ++b) {
+          const DayBatch* batch = batches[b];
+          for (const Record& record : batch->records) {
+            for (size_t i = 0; i < record.values.size(); ++i) {
+              mine[record.values[i]].push_back(
+                  Entry{record.record_id, batch->day, record.AuxFor(i)});
+            }
+          }
+        }
+        return Status::OK();
+      }));
 
   PackedBuckets buckets;
   if (local.size() == 1) {
@@ -93,16 +64,19 @@ Result<PackedBuckets> GroupBatches(std::span<const DayBatch* const> batches,
   for (const Value& value : distinct) {
     buckets.emplace_back(value, std::vector<Entry>{});
   }
-  ForEachSlice(parallel, buckets.size(), [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      auto& [value, entries] = buckets[i];
-      for (const auto& m : local) {
-        auto it = m.find(value);
-        if (it == m.end()) continue;
-        entries.insert(entries.end(), it->second.begin(), it->second.end());
-      }
-    }
-  });
+  WAVEKIT_RETURN_NOT_OK(ForEachSlice(
+      parallel, buckets.size(), [&](size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          auto& [value, entries] = buckets[i];
+          for (const auto& m : local) {
+            auto it = m.find(value);
+            if (it == m.end()) continue;
+            entries.insert(entries.end(), it->second.begin(),
+                           it->second.end());
+          }
+        }
+        return Status::OK();
+      }));
   return buckets;
 }
 
@@ -122,15 +96,17 @@ Status IndexBuilder::WritePacked(ConstituentIndex* index,
   // and the stored bytes are the entries themselves.
   std::vector<EncodedBucket> encoded(n);
   std::vector<BucketInfo> infos(n);
-  ForEachSlice(parallel, n, [&](size_t, size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const std::vector<Entry>& entries = buckets[i].second;
-      encoded[i] = EncodeBucket(entries.data(), entries.size(), mode);
-      const uint32_t count = static_cast<uint32_t>(entries.size());
-      infos[i] = BucketInfo{Extent{0, encoded[i].stored_length(count)},
-                            count, count, /*crc=*/0, encoded[i].codec};
-    }
-  });
+  WAVEKIT_RETURN_NOT_OK(
+      ForEachSlice(parallel, n, [&](size_t, size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) {
+          const std::vector<Entry>& entries = buckets[i].second;
+          encoded[i] = EncodeBucket(entries.data(), entries.size(), mode);
+          const uint32_t count = static_cast<uint32_t>(entries.size());
+          infos[i] = BucketInfo{Extent{0, encoded[i].stored_length(count)},
+                                count, count, /*crc=*/0, encoded[i].codec};
+        }
+        return Status::OK();
+      }));
   // Returns bucket i's stored bytes and sets its checksum over them. Called
   // as the bucket is written, while those bytes are in cache.
   auto checksummed_bytes = [&](size_t i) {
@@ -160,8 +136,7 @@ Status IndexBuilder::WritePacked(ConstituentIndex* index,
   } else {
     // The partitions cover disjoint slices of the region, so their writes
     // never overlap.
-    std::vector<Status> write_status(parallel.Partitions(n));
-    ForEachSlice(parallel, n, [&](size_t p, size_t begin, size_t end) {
+    written = ForEachSlice(parallel, n, [&](size_t, size_t begin, size_t end) {
       Status status = CrashPoints::Check(crash_point);
       std::vector<Extent> extents;
       std::vector<std::byte> buffer;
@@ -179,9 +154,8 @@ Status IndexBuilder::WritePacked(ConstituentIndex* index,
         if (buffer.size() >= kWriteChunkBytes) status = flush();
       }
       if (status.ok()) status = flush();
-      write_status[p] = std::move(status);
+      return status;
     });
-    written = FirstError(write_status);
   }
   if (!written.ok()) {
     // Nothing is installed yet: the whole region goes back, and a retry

@@ -277,6 +277,7 @@ Status RunEpisodeImpl(const ServerSimConfig& config, uint64_t episode,
     options.config.window = config.window;
     options.config.num_indexes = 2;
     options.config.technique = UpdateTechniqueKind::kSimpleShadow;
+    options.cache_blocks = 1024;  // waved's default block cache
     options.clock = &clock;
     options.pool_factory = [raw, eseed, t](int /*threads*/,
                                            const std::string& role) {

@@ -17,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/status.h"
+
 namespace wavekit {
 
 /// \brief Fixed set of worker threads executing submitted tasks FIFO.
@@ -157,6 +159,31 @@ struct ParallelContext {
     return std::min(items, static_cast<size_t>(threads));
   }
 };
+
+/// Calls fn(part, begin, end) for each of parallel.Partitions(items)
+/// contiguous slices of [0, items): as tasks on the pool when `parallel` is
+/// enabled, inline as one slice otherwise. `fn` returns a Status; the result
+/// is the first failed slice's, in slice order.
+template <typename Fn>
+Status ForEachSlice(const ParallelContext& parallel, size_t items,
+                    const Fn& fn) {
+  if (!parallel.enabled()) return fn(size_t{0}, size_t{0}, items);
+  const size_t parts = parallel.Partitions(items);
+  std::vector<Status> status(parts);
+  {
+    ThreadPool::WaitGroup group(parallel.pool);
+    for (size_t p = 0; p < parts; ++p) {
+      group.Submit([&fn, &status, p, parts, items]() {
+        status[p] = fn(p, items * p / parts, items * (p + 1) / parts);
+      });
+    }
+    group.Wait();
+  }
+  for (Status& failed : status) {
+    if (!failed.ok()) return std::move(failed);
+  }
+  return Status::OK();
+}
 
 }  // namespace wavekit
 

@@ -70,9 +70,9 @@ struct SchemeConfig {
   bool verify_checksums = true;
   /// Bucket codec policy for packed builds (index/codec.h). kRaw (the
   /// default) keeps every on-device layout byte-identical to pre-codec
-  /// builds; kAuto picks the smaller of delta and bit-packed per bucket when
-  /// it beats raw. Applies to every scheme's packed builds, shadow applies,
-  /// clones, and HealUnhealthy rebuilds via Scheme::IndexOptions().
+  /// builds; kAuto stores a bucket as bit-packed when that is strictly
+  /// smaller than raw. Applies to every scheme's packed builds, shadow
+  /// applies, clones, and HealUnhealthy rebuilds via Scheme::IndexOptions().
   CodecMode codec = CodecMode::kRaw;
 };
 

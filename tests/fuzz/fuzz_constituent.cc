@@ -2,8 +2,8 @@
 //
 // A constituent's bucket extents are the one data-plane surface whose bytes
 // can change underneath the process: bit rot, torn data writes, misdirected
-// I/O. The read path re-checksums every bucket's live prefix before
-// delivering entries (index/constituent_index.cc VerifyBucketBytes). The
+// I/O. The read path re-checksums every bucket's stored bytes before
+// delivering entries (index/constituent_index.cc ReadVerified). The
 // contract under fuzzing, with the fuzz input interpreted as an arbitrary
 // overwrite of the device:
 //

@@ -215,6 +215,23 @@ TEST_F(ConstituentIndexTest, CloneIsDeepAndEquivalent) {
   EXPECT_EQ(Sorted(out), reference.Probe("alpha", kDayNegInf, kDayPosInf));
 }
 
+TEST_F(ConstituentIndexTest, SerialCloneReadsAndWritesEachBucketOnce) {
+  // The CP operation the cost model prices: one read and one write of each
+  // bucket's whole extent, slack included.
+  auto index = NewIndex("orig");
+  for (Day d = 1; d <= 6; ++d) ASSERT_OK(index->AddBatch(MakeMixedBatch(d)));
+  ASSERT_GT(index->allocated_bytes(), index->live_bytes()) << "no slack";
+  store_.device()->Reset();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<ConstituentIndex> clone,
+                       index->Clone("copy"));
+  const IoCounters io = store_.device()->total();
+  EXPECT_EQ(io.read_ops, index->distinct_values());
+  EXPECT_EQ(io.write_ops, index->distinct_values());
+  EXPECT_EQ(io.bytes_read, index->allocated_bytes());
+  EXPECT_EQ(io.bytes_written, index->allocated_bytes());
+  EXPECT_EQ(clone->allocated_bytes(), index->allocated_bytes());
+}
+
 TEST_F(ConstituentIndexTest, DestroyReclaimsAllSpace) {
   auto index = NewIndex();
   const uint64_t free_before = store_.allocator()->free_bytes();

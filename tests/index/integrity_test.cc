@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "index/constituent_index.h"
@@ -21,6 +22,7 @@
 #include "storage/sharded_cached_device.h"
 #include "testing/test_env.h"
 #include "util/crc32c.h"
+#include "util/thread_pool.h"
 #include "wave/wave_index.h"
 
 namespace wavekit {
@@ -199,6 +201,23 @@ TEST_F(IntegrityTest, InstallBucketWithWrongCrcIsCaughtOnFirstRead) {
   EXPECT_TRUE(index->corrupt());
 }
 
+TEST_F(IntegrityTest, CloneOfRottenBucketFailsAndFreesItsRegion) {
+  ThreadPool pool(4);
+  for (const ParallelContext& parallel :
+       {ParallelContext{}, ParallelContext{&pool, 4}}) {
+    SCOPED_TRACE(parallel.enabled() ? "4 threads" : "serial");
+    auto index = BuildIndex();
+    Rot(LiveExtent(*index, "day2"));
+    const uint64_t before = allocator_.allocated_bytes();
+    auto clone = index->Clone("I0-copy", parallel);
+    ASSERT_FALSE(clone.ok());
+    EXPECT_TRUE(clone.status().IsDataLoss()) << clone.status();
+    EXPECT_TRUE(index->corrupt());
+    EXPECT_EQ(allocator_.allocated_bytes(), before)
+        << "a failed clone must free its whole region";
+  }
+}
+
 TEST_F(IntegrityTest, QuarantineIsIdempotent) {
   auto index = BuildIndex();
   index->Quarantine();
@@ -331,6 +350,31 @@ TEST_F(TrustBoundaryTest, LimitedScanTrustsOnlyTheBucketsItChecked) {
   Status status = index->Scan([](const Value&, const Entry&) {});
   EXPECT_TRUE(status.IsDataLoss()) << status;
   EXPECT_TRUE(index->corrupt());
+}
+
+TEST_F(TrustBoundaryTest, CloneOfTrustedBucketsSkipsReverification) {
+  auto index = BuildCachedIndex();
+  std::vector<std::pair<Value, Entry>> source;
+  auto scan_into = [](const ConstituentIndex& scanned,
+                      std::vector<std::pair<Value, Entry>>* out) {
+    out->clear();
+    return scanned.Scan(
+        [out](const Value& v, const Entry& e) { out->emplace_back(v, e); });
+  };
+  ASSERT_OK(scan_into(*index, &source));  // fill + verify
+  ASSERT_OK(scan_into(*index, &source));  // verify resident + promote
+  const uint64_t verified_before = stats_.verified_buckets.load();
+  const uint64_t trusted_before = stats_.trusted_buckets.load();
+
+  ASSERT_OK_AND_ASSIGN(auto clone, index->Clone("I0-copy"));
+  EXPECT_EQ(stats_.trusted_buckets.load() - trusted_before,
+            index->distinct_values())
+      << "every bucket of the clone's source is trusted cache bytes";
+  EXPECT_EQ(stats_.verified_buckets.load(), verified_before)
+      << "a clone must not re-hash verified-resident bytes";
+  std::vector<std::pair<Value, Entry>> copied;
+  ASSERT_OK(scan_into(*clone, &copied));
+  EXPECT_EQ(copied, source);
 }
 
 TEST_F(IntegrityTest, CloneOfCleanIndexVerifies) {
