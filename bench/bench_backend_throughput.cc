@@ -346,8 +346,9 @@ void WriteJson(const BenchConfig& config,
                const ReplayStats& batched, double speedup) {
   std::ofstream out("BENCH_backend.json");
   out << "{\n"
-      << "  \"bench\": \"backend_throughput\",\n"
-      << "  \"scheme\": \"REINDEX\",\n"
+      << "  \"bench\": \"backend_throughput\",\n";
+  bench::WriteProvenance(out, /*repetitions=*/1);
+  out << "  \"scheme\": \"REINDEX\",\n"
       << "  \"technique\": \"packed-shadow\",\n"
       << "  \"smoke\": " << (config.smoke ? "true" : "false") << ",\n"
       << "  \"window\": " << config.window << ",\n"

@@ -312,8 +312,9 @@ int main(int argc, char** argv) {
 
   std::ofstream out("BENCH_compression.json");
   out << "{\n"
-      << "  \"bench\": \"compression\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+      << "  \"bench\": \"compression\",\n";
+  bench::WriteProvenance(out, /*repetitions=*/1);
+  out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"cost_model\": {\"seek_seconds\": 0.014, "
          "\"transfer_bytes_per_second\": 10000000},\n"
       << "  \"shapes\": [\n";

@@ -222,8 +222,9 @@ void WriteJson(const std::vector<Cell>& cells, double probe_speedup_4t,
                double scan_speedup_4t) {
   std::ofstream out("BENCH_concurrent.json");
   out << "{\n"
-      << "  \"bench\": \"concurrent_throughput\",\n"
-      << "  \"block_size\": " << kBlockSize << ",\n"
+      << "  \"bench\": \"concurrent_throughput\",\n";
+  bench::WriteProvenance(out, /*repetitions=*/1);
+  out << "  \"block_size\": " << kBlockSize << ",\n"
       << "  \"cache_blocks\": " << kCacheBlocks << ",\n"
       << "  \"num_shards\": " << kNumShards << ",\n"
       << "  \"simulated_read_latency_us\": "

@@ -129,8 +129,9 @@ void WriteJson(const Config& config, const Variant& off, const Variant& on,
                uint64_t verified_buckets, uint64_t trusted_buckets) {
   std::ofstream out("BENCH_integrity.json");
   out << "{\n"
-      << "  \"bench\": \"integrity_overhead\",\n"
-      << "  \"smoke\": " << (config.smoke ? "true" : "false") << ",\n"
+      << "  \"bench\": \"integrity_overhead\",\n";
+  bench::WriteProvenance(out, config.rounds);
+  out << "  \"smoke\": " << (config.smoke ? "true" : "false") << ",\n"
       << "  \"window\": " << config.window << ",\n"
       << "  \"days\": " << config.days << ",\n"
       << "  \"records_per_day\": " << config.records << ",\n"

@@ -117,8 +117,9 @@ void WriteJson(const Config& config, const Variant& off, const Variant& on,
   const WaveService& svc = *on.service;
   std::ofstream out("BENCH_obs.json");
   out << "{\n"
-      << "  \"bench\": \"obs_overhead\",\n"
-      << "  \"smoke\": " << (config.smoke ? "true" : "false") << ",\n"
+      << "  \"bench\": \"obs_overhead\",\n";
+  bench::WriteProvenance(out, config.rounds);
+  out << "  \"smoke\": " << (config.smoke ? "true" : "false") << ",\n"
       << "  \"window\": " << config.window << ",\n"
       << "  \"days\": " << config.days << ",\n"
       << "  \"records_per_day\": " << config.records << ",\n"

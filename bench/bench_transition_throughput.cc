@@ -223,8 +223,9 @@ void WriteJson(const BenchConfig& config, const std::vector<Cell>& cells,
                double speedup_4v1, uint64_t probes_during_advance) {
   std::ofstream out("BENCH_transition.json");
   out << "{\n"
-      << "  \"bench\": \"transition_throughput\",\n"
-      << "  \"scheme\": \"REINDEX\",\n"
+      << "  \"bench\": \"transition_throughput\",\n";
+  bench::WriteProvenance(out, /*repetitions=*/1);
+  out << "  \"scheme\": \"REINDEX\",\n"
       << "  \"technique\": \"packed-shadow\",\n"
       << "  \"smoke\": " << (config.smoke ? "true" : "false") << ",\n"
       << "  \"window\": " << config.window << ",\n"

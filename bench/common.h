@@ -9,6 +9,8 @@
 #ifndef WAVEKIT_BENCH_COMMON_H_
 #define WAVEKIT_BENCH_COMMON_H_
 
+#include <sched.h>
+
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -141,6 +143,47 @@ inline model::TotalWork TotalWorkOrDie(SchemeKind scheme,
 
 inline std::string Fmt(double v, int precision = 1) {
   return FormatDouble(v, precision);
+}
+
+/// The first line `command` prints, or "" when it prints nothing or fails.
+inline std::string FirstOutputLine(const std::string& command) {
+  std::string line;
+  if (FILE* pipe = ::popen(command.c_str(), "r")) {
+    char buf[256];
+    if (std::fgets(buf, sizeof buf, pipe) != nullptr) line = buf;
+    ::pclose(pipe);
+  }
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+/// Writes the "provenance" member of a BENCH_*.json object: the commit of
+/// the checkout the bench ran in (suffixed "-dirty" when tracked files
+/// differ from it), the build type, the CPUs this process may run on (what
+/// `nproc` prints) and how many timed repetitions each reported figure
+/// aggregates.
+inline void WriteProvenance(std::ostream& out, int repetitions) {
+  const std::string git =
+      std::string("git -C '") + WAVEKIT_SOURCE_DIR + "' ";
+  std::string commit = FirstOutputLine(git + "rev-parse HEAD 2>/dev/null");
+  if (commit.empty()) {
+    commit = "unknown";
+  } else if (!FirstOutputLine(git +
+                              "status --porcelain --untracked-files=no "
+                              "2>/dev/null")
+                  .empty()) {
+    commit += "-dirty";
+  }
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  const int nproc =
+      ::sched_getaffinity(0, sizeof cpus, &cpus) == 0 ? CPU_COUNT(&cpus) : 0;
+  out << "  \"provenance\": {\"commit\": \"" << commit
+      << "\", \"build_type\": \"" << WAVEKIT_BUILD_TYPE
+      << "\", \"nproc\": " << nproc << ", \"repetitions\": " << repetitions
+      << "},\n";
 }
 
 /// Writes `registry` as a standalone JSON file next to the bench's main

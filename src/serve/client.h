@@ -55,6 +55,9 @@ class Client {
   /// reply by.
   Result<uint32_t> SendProbe(const DayRange& range, const Value& value);
 
+  /// Sends one encoded request frame without waiting.
+  Status SendFrame(const std::string& frame);
+
   /// Blocks for the next reply frame (any type).
   Result<Frame> ReadReply();
 
@@ -63,7 +66,6 @@ class Client {
  private:
   explicit Client(Options options) : options_(std::move(options)) {}
 
-  Status SendFrame(const std::string& frame);
   /// Reads until one complete frame is buffered.
   Result<Frame> ReadFrameBlocking();
 

@@ -5,7 +5,7 @@
 // frames go in and out as byte strings, which is what makes the protocol
 // fuzzable (tests/fuzz/fuzz_protocol.cc feeds arbitrary bytes straight into
 // FrameReader) and sim-drivable (testing/server_sim.h runs a whole server
-// over an in-memory loopback under SimClock/SimExecutor).
+// over an in-memory loopback under a SimClock).
 //
 // Wire format (all integers little-endian):
 //
@@ -150,6 +150,7 @@ struct QueryReply {
 
 struct AdvanceReply {
   WireResult result;
+  /// The published day; only an OK reply carries it.
   Day current_day = 0;
 };
 

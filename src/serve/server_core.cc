@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 namespace wavekit {
 namespace serve {
@@ -266,15 +265,10 @@ void ServerCore::ServeAdvance(Tenant* tenant, const Frame& frame,
                 status.message(), out);
     return;
   }
+  // The day publishes before the reply is sent: once a client holds an OK
+  // reply, its day can be queried.
   AdvanceReply reply;
-  if (options_.async_advance) {
-    // Queue and acknowledge: the reply's current_day is the day queries see
-    // *now*; STATS reports pending_advances until the transition publishes.
-    tenant->service->AdvanceDayAsync(std::move(request.batch));
-    status = Status::OK();
-  } else {
-    status = tenant->service->AdvanceDay(std::move(request.batch));
-  }
+  status = tenant->service->AdvanceDay(std::move(request.batch));
   reply.result = ToWireResult(status);
   reply.current_day = tenant->service->current_day();
   if (!reply.result.has_body()) {
@@ -335,23 +329,6 @@ void ServerCore::AppendError(const FrameHeader& request, FrameType type,
 
 void ServerCore::BeginDrain() {
   draining_.store(true, std::memory_order_release);
-}
-
-Status ServerCore::WaitForMaintenance() {
-  // Collect services first: WaitForMaintenance blocks, and holding
-  // tenants_mutex_ across it would stall the request path.
-  std::vector<WaveService*> services;
-  {
-    std::lock_guard<std::mutex> lock(tenants_mutex_);
-    services.reserve(tenants_.size());
-    for (auto& [id, tenant] : tenants_) services.push_back(tenant->service.get());
-  }
-  Status first;
-  for (WaveService* service : services) {
-    const Status status = service->WaitForMaintenance();
-    if (!status.ok() && first.ok()) first = status;
-  }
-  return first;
 }
 
 }  // namespace serve

@@ -5,7 +5,7 @@
 // about serving *except* sockets. Bytes go in through Ingest() and reply
 // bytes come out; serve/server_loop.h pumps a real epoll loop through it,
 // while testing/server_sim.h pumps a deterministic in-memory loopback
-// through the very same code under SimClock/SimExecutor. That seam is the
+// through the very same code under a SimClock. That seam is the
 // whole design: the server logic that matters is exercised byte-for-byte in
 // simulation.
 //
@@ -47,11 +47,6 @@ class ServerCore {
     /// Concurrent sessions admitted; OpenSession fails with
     /// kResourceExhausted beyond this. 0 = unlimited.
     size_t max_sessions = 0;
-
-    /// When true, ADVANCE requests queue through AdvanceDayAsync and reply
-    /// immediately with the still-current day; STATS exposes the pending
-    /// count. When false, ADVANCE applies synchronously before replying.
-    bool async_advance = false;
 
     /// Time source for rate limiting (SimClock under the sim harness).
     /// Defaults to the wall clock. Must outlive the core.
@@ -123,15 +118,11 @@ class ServerCore {
 
   /// Enters drain: new sessions are refused; requests already buffered or
   /// still arriving on open sessions keep being answered (the loop decides
-  /// when to stop reading). Queued async advances are NOT cancelled — call
-  /// WaitForMaintenance to let them finish.
+  /// when to stop reading). An ADVANCE publishes before it is answered, so
+  /// once every reply is flushed no transition is left running.
   void BeginDrain();
 
   bool draining() const { return draining_.load(std::memory_order_acquire); }
-
-  /// Blocks until every tenant's queued async advances finished; returns the
-  /// first sticky failure, if any.
-  Status WaitForMaintenance();
 
   // --- Introspection --------------------------------------------------------
 

@@ -1,15 +1,15 @@
 #include "testing/server_sim.h"
 
-#include <deque>
 #include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
 
+#include "index/codec.h"
+#include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "serve/server_core.h"
 #include "testing/oracle.h"
-#include "testing/sim_executor.h"
 #include "util/clock.h"
 #include "util/crc32.h"
 #include "util/macros.h"
@@ -31,22 +31,13 @@ uint64_t MixSeed(uint64_t seed, uint64_t episode) {
   return z ^ (z >> 31);
 }
 
-uint64_t RoleSeed(uint64_t base, int tenant, const std::string& role) {
-  uint64_t h = base + static_cast<uint64_t>(tenant) * 7919u;
-  for (char c : role) h = h * 131 + static_cast<unsigned char>(c);
-  return MixSeed(h, 0);
-}
-
-/// One tenant as the simulation sees it: the server-side service (owned by
-/// the core), its single-stepped advance executor, the loopback session,
-/// and the client-side truth (oracle + queued-but-unpublished batches).
+/// One tenant as the simulation sees it: the loopback session and the
+/// client-side truth (its workload and oracle). The service itself is owned
+/// by the core.
 struct SimTenant {
-  SimExecutor* advance_exec = nullptr;  // owned by the tenant's WaveService
   std::unique_ptr<workload::NetnewsGenerator> netnews;
   OracleDB oracle;
-  std::deque<DayBatch> queued;  // acknowledged but not yet published
   serve::ServerCore::Session* session = nullptr;
-  Day next_day = 1;
 };
 
 /// Mutable episode state threaded through every request.
@@ -169,7 +160,8 @@ Status CheckScan(Episode* ep, int tenant_id, SimTenant* tenant) {
   return Status::OK();
 }
 
-/// STATS must report the published day and the queued (pending) advances.
+/// STATS must report the published day and no pending advance: every
+/// ADVANCE publishes before it is answered.
 Status CheckStats(Episode* ep, int tenant_id, SimTenant* tenant) {
   serve::Frame reply;
   WAVEKIT_RETURN_NOT_OK(
@@ -187,64 +179,94 @@ Status CheckStats(Episode* ep, int tenant_id, SimTenant* tenant) {
         "stats day " + std::to_string(decoded.current_day) +
         " != oracle day " + std::to_string(tenant->oracle.current_day()));
   }
-  if (decoded.pending_advances != tenant->queued.size()) {
-    return Status::Internal(
-        "stats pending " + std::to_string(decoded.pending_advances) +
-        " != queued " + std::to_string(tenant->queued.size()));
+  if (decoded.pending_advances != 0) {
+    return Status::Internal("stats reports " +
+                            std::to_string(decoded.pending_advances) +
+                            " pending advances");
   }
   return Status::OK();
 }
 
-/// ADVANCE queues asynchronously; the ack must carry the still-current day.
-Status QueueAdvance(Episode* ep, int tenant_id, SimTenant* tenant) {
-  WaveService* service = ep->core->tenant(static_cast<uint16_t>(tenant_id));
-  const Day before = service->current_day();
-  DayBatch batch = tenant->netnews->GenerateDay(tenant->next_day);
+/// Sends one ADVANCE carrying `batch` and decodes its reply.
+Status SendAdvance(Episode* ep, int tenant_id, SimTenant* tenant,
+                   DayBatch batch, serve::AdvanceReply* decoded) {
   serve::AdvanceRequest request;
-  request.batch = batch;
+  request.batch = std::move(batch);
   serve::Frame reply;
   WAVEKIT_RETURN_NOT_OK(Roundtrip(
       ep, tenant,
       serve::EncodeAdvanceRequest(static_cast<uint16_t>(tenant_id),
                                   ep->next_request_id++, request),
       &reply));
+  return serve::DecodeAdvanceReply(reply.payload, decoded);
+}
+
+/// ADVANCE publishes before it is answered: the reply must be OK and carry
+/// the new day. The oracle advances when that reply arrives.
+Status Advance(Episode* ep, int tenant_id, SimTenant* tenant) {
+  const Day day = tenant->oracle.current_day() + 1;
+  DayBatch batch = tenant->netnews->GenerateDay(day);
   serve::AdvanceReply decoded;
-  WAVEKIT_RETURN_NOT_OK(serve::DecodeAdvanceReply(reply.payload, &decoded));
+  WAVEKIT_RETURN_NOT_OK(SendAdvance(ep, tenant_id, tenant, batch, &decoded));
   if (!decoded.result.ok()) {
-    return Status::Internal("advance refused: " + decoded.result.detail);
+    return Status::Internal("advance to day " + std::to_string(day) +
+                            " refused: " + decoded.result.detail);
   }
-  if (decoded.current_day != before) {
-    return Status::Internal("async advance ack day " +
-                            std::to_string(decoded.current_day) +
-                            " != pre-advance day " + std::to_string(before));
+  if (decoded.current_day != day) {
+    return Status::Internal("advance to day " + std::to_string(day) +
+                            " answered with day " +
+                            std::to_string(decoded.current_day));
   }
-  tenant->queued.push_back(std::move(batch));
+  tenant->oracle.AdvanceDay(batch, ep->config->window);
   ep->Trace("t" + std::to_string(tenant_id) + " advance day " +
-            std::to_string(tenant->next_day) + " queued (current " +
-            std::to_string(before) + ")");
-  ++tenant->next_day;
+            std::to_string(day) + " published");
   return Status::OK();
 }
 
-/// Runs exactly one queued transition and syncs the oracle to the publish.
-Status StepAdvance(Episode* ep, int tenant_id, SimTenant* tenant) {
-  if (tenant->advance_exec == nullptr || tenant->queued.empty()) {
-    return Status::OK();
-  }
-  if (!tenant->advance_exec->RunOne()) {
-    return Status::Internal("queued advance had no task to run");
-  }
-  WaveService* service = ep->core->tenant(static_cast<uint16_t>(tenant_id));
-  tenant->oracle.AdvanceDay(tenant->queued.front(), ep->config->window);
-  tenant->queued.pop_front();
-  if (service->current_day() != tenant->oracle.current_day()) {
+/// An ADVANCE for a day the tenant cannot take next (the published day, or
+/// one past the next) must be refused with kInvalidArgument and leave the
+/// tenant where it was (STATS) and healthy (HEALTH).
+Status RefuseWrongDay(Episode* ep, int tenant_id, SimTenant* tenant) {
+  const Day current = tenant->oracle.current_day();
+  const Day wrong =
+      ep->rng.Bernoulli(0.5)
+          ? current
+          : current + 2 + static_cast<Day>(ep->rng.Uniform(ep->config->window));
+  serve::AdvanceReply decoded;
+  WAVEKIT_RETURN_NOT_OK(SendAdvance(ep, tenant_id, tenant,
+                                    tenant->netnews->GenerateDay(wrong),
+                                    &decoded));
+  if (decoded.result.code != StatusCode::kInvalidArgument) {
     return Status::Internal(
-        "publish day " + std::to_string(service->current_day()) +
-        " != oracle day " + std::to_string(tenant->oracle.current_day()));
+        "advance to wrong day " + std::to_string(wrong) + " answered " +
+        StatusCodeToString(decoded.result.code) + ": " + decoded.result.detail);
   }
-  ep->Trace("t" + std::to_string(tenant_id) + " published day " +
-            std::to_string(service->current_day()));
+  WAVEKIT_RETURN_NOT_OK(CheckStats(ep, tenant_id, tenant));
+  serve::Frame reply;
+  WAVEKIT_RETURN_NOT_OK(
+      Roundtrip(ep, tenant,
+                serve::EncodeHealthRequest(static_cast<uint16_t>(tenant_id),
+                                           ep->next_request_id++),
+                &reply));
+  serve::HealthReply health;
+  WAVEKIT_RETURN_NOT_OK(serve::DecodeHealthReply(reply.payload, &health));
+  if (!health.result.ok() || health.degraded) {
+    return Status::Internal("refused advance to day " + std::to_string(wrong) +
+                            " left the tenant degraded: " + health.detail);
+  }
+  ep->Trace("t" + std::to_string(tenant_id) + " advance day " +
+            std::to_string(wrong) + " refused, healthy at day " +
+            std::to_string(current));
   return Status::OK();
+}
+
+/// The value of the counter `name` in `registry`.
+Result<uint64_t> CounterValue(const obs::MetricsRegistry& registry,
+                              const std::string& name) {
+  for (const obs::MetricSnapshot& metric : registry.Snapshot().metrics) {
+    if (metric.name == name) return static_cast<uint64_t>(metric.value);
+  }
+  return Status::NotFound("no counter " + name);
 }
 
 Status RunEpisodeImpl(const ServerSimConfig& config, uint64_t episode,
@@ -256,38 +278,44 @@ Status RunEpisodeImpl(const ServerSimConfig& config, uint64_t episode,
   constexpr size_t kSchemes =
       sizeof(kAllSchemeKinds) / sizeof(kAllSchemeKinds[0]);
   const SchemeKind kind = kAllSchemeKinds[episode % kSchemes];
+  const UpdateTechniqueKind technique =
+      ep->rng.Bernoulli(0.5) ? UpdateTechniqueKind::kPackedShadow
+                             : UpdateTechniqueKind::kSimpleShadow;
+  const CodecMode codec =
+      ep->rng.Bernoulli(0.5) ? CodecMode::kAuto : CodecMode::kRaw;
+  // One wrong-day ADVANCE per episode; step `days` is the drain rehearsal.
+  const int wrong_step = static_cast<int>(ep->rng.Uniform(config.days + 1));
+  const int wrong_tenant = static_cast<int>(ep->rng.Uniform(config.tenants));
   ep->Trace("episode " + std::to_string(episode) + " scheme " +
-            std::string(SchemeKindName(kind)) + " tenants " +
+            std::string(SchemeKindName(kind)) + " technique " +
+            UpdateTechniqueKindName(technique) + " codec " +
+            CodecModeName(codec) + " tenants " +
             std::to_string(config.tenants));
 
+  // Built as waved builds its tenants: one registry shared by the core and
+  // every tenant, and each tenant with waved's block cache and event ring.
+  obs::MetricsRegistry registry;
   SimClock clock;
   serve::ServerCore::Options core_options;
-  core_options.async_advance = true;
   core_options.clock = &clock;
+  core_options.metrics_registry = &registry;
   serve::ServerCore core(core_options);
   ep->core = &core;
 
   std::vector<std::unique_ptr<SimTenant>> tenants;
   for (int t = 0; t < config.tenants; ++t) {
     auto tenant = std::make_unique<SimTenant>();
-    SimTenant* raw = tenant.get();
 
     WaveService::Options options;
     options.scheme = kind;
     options.config.window = config.window;
     options.config.num_indexes = 2;
-    options.config.technique = UpdateTechniqueKind::kSimpleShadow;
-    options.cache_blocks = 1024;  // waved's default block cache
+    options.config.technique = technique;
+    options.config.codec = codec;
+    options.cache_blocks = 1024;
+    options.metrics_registry = &registry;
+    options.event_ring_capacity = 256;
     options.clock = &clock;
-    options.pool_factory = [raw, eseed, t](int /*threads*/,
-                                           const std::string& role) {
-      // The advance runner must stay strict FIFO (width 1) — async publish
-      // order is part of the service contract.
-      auto exec = std::make_unique<SimExecutor>(RoleSeed(eseed, t, role),
-                                                /*width=*/1);
-      if (role == "advance") raw->advance_exec = exec.get();
-      return exec;
-    };
     WAVEKIT_ASSIGN_OR_RETURN(std::unique_ptr<WaveService> service,
                              WaveService::Create(std::move(options)));
 
@@ -303,7 +331,6 @@ Status RunEpisodeImpl(const ServerSimConfig& config, uint64_t episode,
       tenant->oracle.AdvanceDay(batch, config.window);
       first_window.push_back(std::move(batch));
     }
-    tenant->next_day = config.window + 1;
     WAVEKIT_RETURN_NOT_OK(service->Start(std::move(first_window)));
     WAVEKIT_RETURN_NOT_OK(
         core.AddTenant(static_cast<uint16_t>(t), std::move(service)));
@@ -312,21 +339,10 @@ Status RunEpisodeImpl(const ServerSimConfig& config, uint64_t episode,
     tenants.push_back(std::move(tenant));
   }
 
-  // The daily grind: queue advances, probe the old snapshot, publish one
-  // day at a time, probe between publishes, scan + stats after each day.
+  // The daily grind: tenants advance over the wire in a seeded order, and
+  // probes of random tenants follow each ADVANCE, so tenant A's new day
+  // must never leak into tenant B's answers. Scan + stats after each day.
   for (int day_step = 0; day_step < config.days; ++day_step) {
-    for (int t = 0; t < config.tenants; ++t) {
-      WAVEKIT_RETURN_NOT_OK(QueueAdvance(ep, t, tenants[t].get()));
-    }
-    // Probes against the acknowledged-but-unpublished snapshot.
-    for (int t = 0; t < config.tenants; ++t) {
-      for (int p = 0; p < config.probes_per_step; ++p) {
-        WAVEKIT_RETURN_NOT_OK(CheckProbe(ep, t, tenants[t].get()));
-      }
-      WAVEKIT_RETURN_NOT_OK(CheckStats(ep, t, tenants[t].get()));
-    }
-    // Publish in a seeded tenant order, probing right after each publish —
-    // tenant A's new day must never leak into tenant B's answers.
     std::vector<int> order(config.tenants);
     for (int t = 0; t < config.tenants; ++t) order[t] = t;
     for (int i = config.tenants - 1; i > 0; --i) {
@@ -334,7 +350,10 @@ Status RunEpisodeImpl(const ServerSimConfig& config, uint64_t episode,
                 order[ep->rng.Uniform(static_cast<uint64_t>(i) + 1)]);
     }
     for (int t : order) {
-      WAVEKIT_RETURN_NOT_OK(StepAdvance(ep, t, tenants[t].get()));
+      if (day_step == wrong_step && t == wrong_tenant) {
+        WAVEKIT_RETURN_NOT_OK(RefuseWrongDay(ep, t, tenants[t].get()));
+      }
+      WAVEKIT_RETURN_NOT_OK(Advance(ep, t, tenants[t].get()));
       for (int p = 0; p < config.probes_per_step; ++p) {
         const int probe_tenant =
             static_cast<int>(ep->rng.Uniform(config.tenants));
@@ -349,12 +368,8 @@ Status RunEpisodeImpl(const ServerSimConfig& config, uint64_t episode,
     clock.Advance(1'000'000);  // one simulated second per day
   }
 
-  // Drain rehearsal: queue one more advance on every tenant, then BeginDrain.
-  // New sessions must be refused while the open sessions keep answering and
-  // the queued advances land.
-  for (int t = 0; t < config.tenants; ++t) {
-    WAVEKIT_RETURN_NOT_OK(QueueAdvance(ep, t, tenants[t].get()));
-  }
+  // Drain rehearsal: new sessions must be refused, while an ADVANCE on
+  // every open session is still answered with its new day.
   core.BeginDrain();
   Result<serve::ServerCore::Session*> refused = core.OpenSession();
   if (refused.ok()) {
@@ -364,24 +379,29 @@ Status RunEpisodeImpl(const ServerSimConfig& config, uint64_t episode,
     return Status::Internal("drain refusal surfaced as " +
                             refused.status().ToString());
   }
-  ep->Trace("drain: new session refused, flushing in-flight work");
+  ep->Trace("drain: new session refused, open sessions still answered");
   for (int t = 0; t < config.tenants; ++t) {
     SimTenant* tenant = tenants[t].get();
-    // Buffered requests on open sessions are still answered mid-drain.
-    WAVEKIT_RETURN_NOT_OK(CheckProbe(ep, t, tenant));
-    while (!tenant->queued.empty()) {
-      WAVEKIT_RETURN_NOT_OK(StepAdvance(ep, t, tenant));
+    if (wrong_step == config.days && t == wrong_tenant) {
+      WAVEKIT_RETURN_NOT_OK(RefuseWrongDay(ep, t, tenant));
     }
+    WAVEKIT_RETURN_NOT_OK(Advance(ep, t, tenant));
+    WAVEKIT_RETURN_NOT_OK(CheckProbe(ep, t, tenant));
+    WAVEKIT_RETURN_NOT_OK(CheckScan(ep, t, tenant));
+    WAVEKIT_RETURN_NOT_OK(CheckStats(ep, t, tenant));
+    core.CloseSession(tenant->session);
+    tenant->session = nullptr;
   }
-  WAVEKIT_RETURN_NOT_OK(core.WaitForMaintenance());
-  for (int t = 0; t < config.tenants; ++t) {
-    WAVEKIT_RETURN_NOT_OK(CheckScan(ep, t, tenants[t].get()));
-    WAVEKIT_RETURN_NOT_OK(CheckStats(ep, t, tenants[t].get()));
-    core.CloseSession(tenants[t]->session);
-    tenants[t]->session = nullptr;
+  // The registry counts every request the episode sent, once.
+  WAVEKIT_ASSIGN_OR_RETURN(
+      const uint64_t served,
+      CounterValue(registry, "wavekit_server_requests_total"));
+  if (served != ep->requests) {
+    return Status::Internal("wavekit_server_requests_total " +
+                            std::to_string(served) + " != " +
+                            std::to_string(ep->requests) + " requests sent");
   }
-  ep->Trace("drained: " + std::to_string(core.requests_served()) +
-            " requests served");
+  ep->Trace("drained: " + std::to_string(served) + " requests served");
   return Status::OK();
 }
 

@@ -1,30 +1,34 @@
 // Deterministic server simulation: the serving stack minus the sockets.
 //
 // ServerCore was split from the epoll loop precisely so that the request
-// brain — framing, dispatch, per-tenant rate limits, async-advance
-// acknowledgement, drain — can be driven byte-for-byte in process. An
-// episode here wires N tenants' WaveServices onto simulation seams
-// (SimExecutor pools, a SimClock) behind one ServerCore, opens one Session
-// per tenant as an in-memory loopback connection, and then interleaves:
+// brain — framing, dispatch, per-tenant rate limits, ADVANCE, drain — can be
+// driven byte-for-byte in process. An episode builds N tenants' WaveServices
+// the way waved does (one MetricsRegistry shared with the core, waved's
+// block cache and event ring; the technique and codec drawn from the
+// episode seed) behind one ServerCore on a SimClock, opens one Session per
+// tenant as an in-memory loopback connection, and then, each day:
 //
-//   - ADVANCE requests that queue through AdvanceDayAsync (the reply
-//     acknowledges the still-current day),
-//   - single-stepped advance executors (RunOne publishes exactly the next
-//     queued day), and
-//   - PROBE / SCAN / STATS requests issued *between* those steps, each
-//     decoded from the actual reply bytes and cross-checked against a
-//     brute-force OracleDB that is advanced in lockstep with the published
-//     (not the queued) days.
+//   - sends every tenant's ADVANCE in a seeded tenant order. The reply must
+//     be OK and carry the new day, since waved publishes a day before it
+//     answers; the brute-force OracleDB advances when the reply arrives;
+//   - follows each ADVANCE with PROBEs of random tenants, so one tenant's
+//     new day leaking into another's answers is caught;
+//   - ends with a SCAN and a STATS per tenant (published day, no pending
+//     advance), every reply decoded from the actual bytes and cross-checked
+//     against the oracle.
 //
-// Every episode ends with a drain rehearsal: BeginDrain must refuse new
-// sessions while buffered requests on open sessions keep being answered,
-// and WaitForMaintenance must land every queued advance.
+// One ADVANCE per episode, at a seeded step, names a day the tenant cannot
+// take next: it must be refused with kInvalidArgument, and HEALTH must not
+// report the tenant degraded. Every episode ends with a drain rehearsal:
+// BeginDrain must refuse new sessions, while one more ADVANCE on each open
+// session is still answered with its new day. The registry's
+// wavekit_server_requests_total must then equal the requests sent.
 //
 // Determinism is the contract, not a best effort: an episode's entire
 // reply byte stream and trace are folded into a CRC-32 digest, and
 // RunEpisode(e) twice must produce the identical digest (RunMany asserts
 // this for every episode). Everything follows from (seed, episode): the
-// scheme, the workload, the interleaving, the probe values.
+// scheme, technique, codec, workload, tenant order and probe values.
 
 #ifndef WAVEKIT_TESTING_SERVER_SIM_H_
 #define WAVEKIT_TESTING_SERVER_SIM_H_

@@ -426,14 +426,17 @@ Status WaveService::AdvanceDayLocked(DayBatch new_day) {
     obs::Span span = tracer_->StartSpan("AdvanceDay");
     const Status transitioned = scheme_->Transition(std::move(new_day));
     if (!transitioned.ok()) {
-      // Degraded mode: keep serving the last good snapshot. No republish is
-      // needed for health flags — snapshots share the constituent objects,
-      // so any MarkUnhealthy the scheme did is already visible to readers.
-      instruments_.degraded_advances->Increment();
       if (events_ != nullptr) {
         events_->Append(obs::EventType::kAdvanceRollback, day,
                         transitioned.message());
       }
+      // A day refused before the wave was touched (wrong day, day-store
+      // Put) leaves the published window intact: the service stays healthy.
+      if (!scheme_->needs_recovery()) return transitioned;
+      // Degraded mode: keep serving the last good snapshot. No republish is
+      // needed for health flags — snapshots share the constituent objects,
+      // so any MarkUnhealthy the scheme did is already visible to readers.
+      instruments_.degraded_advances->Increment();
       SetDegraded(true, "advance to day " + std::to_string(day) +
                             " failed: " + transitioned.message(),
                   day);

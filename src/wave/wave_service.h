@@ -190,6 +190,9 @@ class WaveService {
 
   /// Incorporates the next day. Readers keep getting answers throughout —
   /// from the pre-transition snapshot until the new one is published.
+  /// A day the scheme refuses before touching the wave (not
+  /// current_day() + 1) returns its error and leaves the service healthy;
+  /// a transition that fails partway marks the service degraded.
   Status AdvanceDay(DayBatch new_day);
 
   /// Queues the transition to run on a background maintenance thread and

@@ -346,7 +346,6 @@ TEST(ServerCoreTest, DrainRefusesNewSessionsButServesOpenOnes) {
   ASSERT_OK(DecodeStatsReply(
       Serve(&server, EncodeStatsRequest(0, 1)).payload, &stats));
   EXPECT_TRUE(stats.result.ok());
-  ASSERT_OK(server.core.WaitForMaintenance());
 }
 
 TEST(ServerCoreTest, SyncAdvancePublishesBeforeReply) {
@@ -359,6 +358,29 @@ TEST(ServerCoreTest, SyncAdvancePublishesBeforeReply) {
   EXPECT_TRUE(decoded.result.ok()) << decoded.result.detail;
   EXPECT_EQ(decoded.current_day, kWindow + 1);
   EXPECT_EQ(server.core.tenant(0)->current_day(), kWindow + 1);
+}
+
+TEST(ServerCoreTest, RefusedAdvanceLeavesTenantHealthy) {
+  TestServer server;
+  WaveService* service = server.core.tenant(0);
+  AdvanceRequest skip;
+  skip.batch = MakeMixedBatch(kWindow + 5);
+  AdvanceReply refused;
+  ASSERT_OK(DecodeAdvanceReply(
+      Serve(&server, EncodeAdvanceRequest(0, 1, skip)).payload, &refused));
+  EXPECT_EQ(refused.result.code, StatusCode::kInvalidArgument);
+  EXPECT_EQ(service->current_day(), kWindow);
+  EXPECT_FALSE(service->degraded()) << service->degraded_detail();
+  EXPECT_EQ(service->instruments().degraded_advances->value(), 0u);
+
+  AdvanceRequest next;
+  next.batch = MakeMixedBatch(kWindow + 1);
+  AdvanceReply published;
+  ASSERT_OK(DecodeAdvanceReply(
+      Serve(&server, EncodeAdvanceRequest(0, 2, next)).payload, &published));
+  EXPECT_TRUE(published.result.ok()) << published.result.detail;
+  EXPECT_EQ(published.current_day, kWindow + 1);
+  EXPECT_EQ(service->current_day(), kWindow + 1);
 }
 
 }  // namespace

@@ -197,10 +197,18 @@ TEST(ServerLoopTest, DrainAnswersInflightThenCloses) {
   ASSERT_OK(client->Stats().status());
   const DayRange range = DayRange::Window(kWindow, kWindow);
 
-  // Fire pipelined probes and immediately drain: every request that made it
-  // into the socket must still be answered before the connection closes.
+  // Fire pipelined probes with an ADVANCE among them and immediately drain:
+  // every request that made it into the socket must still be answered
+  // before the connection closes, the ADVANCE with its published day.
   std::vector<uint32_t> sent;
+  constexpr uint32_t kAdvanceId = 1000;
   for (int i = 0; i < 16; ++i) {
+    if (i == 8) {
+      AdvanceRequest advance;
+      advance.batch = MakeMixedBatch(kWindow + 1);
+      ASSERT_OK(client->SendFrame(EncodeAdvanceRequest(0, kAdvanceId, advance)));
+      sent.push_back(kAdvanceId);
+    }
     auto id = client->SendProbe(range, "alpha");
     ASSERT_OK(id.status());
     sent.push_back(*id);
@@ -211,6 +219,12 @@ TEST(ServerLoopTest, DrainAnswersInflightThenCloses) {
     auto reply = client->ReadReply();
     ASSERT_OK(reply.status()) << "reply " << expected << " lost in drain";
     EXPECT_EQ(reply->header.request_id, expected);
+    if (expected == kAdvanceId) {
+      AdvanceReply advanced;
+      ASSERT_OK(DecodeAdvanceReply(reply->payload, &advanced));
+      EXPECT_TRUE(advanced.result.ok()) << advanced.result.detail;
+      EXPECT_EQ(advanced.current_day, kWindow + 1);
+    }
   }
   // After the last reply the server closes: the next read is a clean EOF
   // surfaced as an error by the client.

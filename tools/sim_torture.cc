@@ -6,7 +6,8 @@
 //   sim_torture --serve [--seed=1] [--episodes=8] [--tenants=3] [--days=5]
 //               [--episode=E] [--print-trace]
 //
-// An unknown flag or a malformed value exits with status 2.
+// An unknown flag, a malformed value or a --tenants outside 1..65535 exits
+// with status 2.
 //
 // --bitrot switches to the bit-rot scenario family (GenerateBitRot): every
 // day commits cleanly, then silent data-at-rest corruption strikes and the
@@ -63,14 +64,15 @@ void ReportFailure(const testing::Simulator& simulator,
 }
 
 /// --serve: the in-process server simulation (testing/server_sim.h) —
-/// multi-tenant ServerCore over a loopback seam, probes interleaved with
-/// single-stepped async advances, replies cross-checked against the oracle,
-/// and every episode replayed to assert a byte-identical digest.
+/// multi-tenant ServerCore over a loopback seam, probes interleaved with the
+/// ADVANCEs waved serves, replies cross-checked against the oracle, and
+/// every episode replayed to assert a byte-identical digest.
 int ServeMain(const Args& args) {
   testing::ServerSimConfig config;
   config.seed = args.GetU64("seed", 1);
   config.episodes = args.GetU64("episodes", 8);
-  config.tenants = static_cast<int>(args.GetU64("tenants", 3));
+  // Tenant ids are uint16, and an episode needs at least one tenant.
+  config.tenants = args.GetInt("tenants", 3, 1, 65535);
   config.days = static_cast<int>(args.GetU64("days", 5));
   const bool print_trace = args.GetBool("print-trace", false);
   const testing::ServerSimulator simulator(config);

@@ -1295,6 +1295,7 @@ int RemoteAdvance(const Args& args) {
     return 1;
   }
   const int code = ReportResult(reply->result);
+  if (!reply->result.has_body()) return code;  // a refusal carries no day
   std::cout << "advanced to day " << day << " (server current_day="
             << reply->current_day << ")\n";
   return code;

@@ -5,14 +5,17 @@
 //         [--technique=simple-shadow] [--codec=raw] [--records=200]
 //         [--cache-blocks=1024]
 //         [--rate-limit=0] [--burst=0] [--max-sessions=0]
-//         [--idle-timeout-ms=30000] [--async-advance] [--seed=42]
+//         [--idle-timeout-ms=30000] [--seed=42]
 //
 // Boots `--tenants` independent wave indexes (each bootstrapped with a
 // synthetic Netnews first window seeded per tenant, so probes answer real
 // data immediately) and serves the binary protocol (serve/protocol.h) on
-// --port from one epoll thread; every probe runs inline on it. SIGTERM/SIGINT
-// trigger a graceful drain: stop accepting, answer everything in flight,
-// finish queued async advances, exit 0.
+// --port from one epoll thread; every request runs inline on it. An ADVANCE
+// publishes its day before it is answered, so a client that holds the reply
+// can query the day. SIGTERM/SIGINT trigger a graceful drain: stop
+// accepting, answer and flush everything in flight, exit 0. The drain waits
+// for every reply to flush, so a client that never reads its replies holds
+// it open; SIGKILL is the hard stop.
 //
 // With --metrics-port > 0 the obs registry — per-tenant WaveService metrics
 // plus the wavekit_server_* serving counters — is re-exported over HTTP on
@@ -98,7 +101,7 @@ int Serve(const Args& args) {
       "tenants",      "scheme",        "window",         "indexes",
       "technique",    "codec",         "records",        "cache-blocks",
       "rate-limit",   "burst",         "max-sessions",   "idle-timeout-ms",
-      "async-advance", "seed"};
+      "seed"};
   const std::vector<std::string> unknown = args.Unknown(allowed);
   if (!unknown.empty()) {
     std::cerr << "waved: unknown arguments:";
@@ -133,7 +136,6 @@ int Serve(const Args& args) {
   core_options.tenant_rate_limit_burst = args.GetDouble("burst", 0);
   core_options.max_sessions =
       static_cast<size_t>(args.GetInt("max-sessions", 0, 0, INT_MAX));
-  core_options.async_advance = args.GetBool("async-advance");
   core_options.metrics_registry = &registry;
   serve::ServerCore core(core_options);
 
@@ -200,13 +202,7 @@ int Serve(const Args& args) {
 
   std::cout << "waved draining..." << std::endl;
   loop.Drain();
-  const Status maintenance = core.WaitForMaintenance();
   if (exporter) exporter->Stop();
-  if (!maintenance.ok()) {
-    std::cerr << "waved: maintenance failure during drain: " << maintenance
-              << "\n";
-    return 1;
-  }
   std::cout << "waved drained: served " << core.requests_served()
             << " requests on " << loop.connections_accepted()
             << " connections" << std::endl;
