@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 
 #include "index/index_builder.h"
 #include "util/crash_point.h"
@@ -15,6 +14,31 @@ namespace {
 
 // The largest read batch of a scan, in stored bytes.
 constexpr uint64_t kScanBatchBytes = uint64_t{4} << 20;
+
+// Lends a scan the vector this thread kept from its last scan, and keeps
+// it again afterwards: a scan that reads and decodes megabytes works in
+// memory the previous scan warmed, not in fresh heap memory. Each thread
+// that scans keeps at most one read batch and one decoded bucket this way.
+// Borrowing moves the vector out, so a scan nested in a callback gets an
+// empty one of its own.
+template <typename T>
+class ThreadSpare {
+ public:
+  ThreadSpare() : vector_(std::move(Spare())) {}
+  ~ThreadSpare() { Spare() = std::move(vector_); }
+  ThreadSpare(const ThreadSpare&) = delete;
+  ThreadSpare& operator=(const ThreadSpare&) = delete;
+
+  std::vector<T>& get() { return vector_; }
+
+ private:
+  static std::vector<T>& Spare() {
+    thread_local std::vector<T> spare;
+    return spare;
+  }
+
+  std::vector<T> vector_;
+};
 
 // The extents of `run`, physically adjacent ones merged: each bucket's
 // whole extent, or only its stored bytes. A single extent goes to `*one`, so
@@ -257,8 +281,11 @@ Status ConstituentIndex::TimedScan(const DayRange& range,
   uint64_t remaining = limit;  // entries the scan may still deliver
   std::vector<BucketRef> run;
   uint64_t run_bytes = 0;
-  std::vector<std::byte> buffer;
-  std::vector<Entry> scratch;  // decode target off the in-place path
+  ThreadSpare<std::byte> spare_buffer;
+  ThreadSpare<Entry> spare_scratch;
+  std::vector<std::byte>& buffer = spare_buffer.get();
+  // Decode target off the in-place path.
+  std::vector<Entry>& scratch = spare_scratch.get();
   Status decoded;
   // Delivers checked bucket k of the run; false once the limit is reached
   // or the bucket does not decode.
@@ -380,20 +407,24 @@ Status ConstituentIndex::AppendEntries(const Value& value,
   return Status::OK();
 }
 
-Status ConstituentIndex::AddBatch(const DayBatch& batch) {
-  // Group the batch per value (sorted for determinism), then append.
-  std::map<Value, std::vector<Entry>> grouped;
-  for (const Record& record : batch.records) {
-    for (size_t i = 0; i < record.values.size(); ++i) {
-      grouped[record.values[i]].push_back(
-          Entry{record.record_id, batch.day, record.AuxFor(i)});
+Status ConstituentIndex::AddBatch(const GroupedDay& day) {
+  // One append per value, in the day's (sorted) value order.
+  Value value;
+  std::vector<Entry> entries;
+  for (size_t v = 0; v < day.value_count(); ++v) {
+    value.assign(day.value(v));
+    entries.clear();
+    for (const GroupedDay::Posting& posting : day.run(v)) {
+      entries.push_back(day.EntryOf(posting));
     }
-  }
-  for (const auto& [value, entries] : grouped) {
     WAVEKIT_RETURN_NOT_OK(AppendEntries(value, entries));
   }
-  time_set_.insert(batch.day);
+  time_set_.insert(day.day());
   return Status::OK();
+}
+
+Status ConstituentIndex::AddBatch(const DayBatch& batch) {
+  return AddBatch(GroupedDay::From(batch));
 }
 
 Status ConstituentIndex::DeleteDays(const TimeSet& days) {
@@ -585,7 +616,7 @@ Status ConstituentIndex::Destroy() {
     if (!s.ok() && first_error.ok()) first_error = s;
   });
   WAVEKIT_RETURN_NOT_OK(first_error);
-  directory_ = Directory();  // releases the map's memory, unlike clear()
+  directory_.Clear();
   layout_order_.clear();
   time_set_.clear();
   entry_count_ = 0;

@@ -24,6 +24,7 @@
 #include "index/codec.h"
 #include "index/directory.h"
 #include "index/entry.h"
+#include "index/grouped_day.h"
 #include "index/growth_policy.h"
 #include "index/record.h"
 #include "storage/extent_allocator.h"
@@ -221,8 +222,11 @@ class ConstituentIndex {
   /// CONTIGUOUS policy. Clears the packed flag.
   Status AppendEntries(const Value& value, std::span<const Entry> entries);
 
-  /// Adds all entries of `batch` (grouped per value) and adds the day to the
-  /// time-set. This is the in-place form of the paper's AddToIndex.
+  /// Adds all entries of `day`, one AppendEntries per value in the day's
+  /// value order, and adds the day to the time-set. This is the in-place
+  /// form of the paper's AddToIndex.
+  Status AddBatch(const GroupedDay& day);
+  /// Adapter for callers that hold a DayBatch: AddBatch(GroupedDay::From).
   Status AddBatch(const DayBatch& batch);
 
   /// Deletes every entry whose day is in `days`, shrinking buckets per the

@@ -9,6 +9,7 @@
 #define WAVEKIT_INDEX_DIRECTORY_H_
 
 #include <cstdint>
+#include <memory_resource>
 #include <unordered_map>
 
 #include "index/codec.h"
@@ -56,6 +57,14 @@ struct BucketInfo {
 
 /// \brief The in-memory value -> BucketInfo map of one constituent index: a
 /// hash table with O(1) expected lookup and unordered iteration.
+///
+/// Its nodes come from the directory's own pool, so a directory filled in
+/// layout order (every packed build) sits in contiguous memory in that
+/// order, whatever the process's heap held before. From the shared heap, a
+/// rebuilt directory's nodes would reuse the scattered chunks a destroyed
+/// directory freed, and probes and scans slow down. The pool is
+/// unsynchronized: one thread mutates a directory at a time, and const
+/// lookups never allocate.
 class Directory {
  public:
   /// Returns the bucket info for `value`, or nullptr if absent. The pointer
@@ -89,6 +98,12 @@ class Directory {
   /// Number of distinct values.
   size_t size() const { return map_.size(); }
 
+  /// Removes every mapping and returns the directory's memory.
+  void Clear() {
+    std::pmr::unordered_map<Value, BucketInfo>(&pool_).swap(map_);
+    pool_.release();
+  }
+
   /// Visits every (value, bucket) pair, in an unspecified order that is
   /// stable between mutations.
   template <typename Fn>
@@ -97,7 +112,9 @@ class Directory {
   }
 
  private:
-  std::unordered_map<Value, BucketInfo> map_;
+  // Declared first: it outlives the map that allocates from it.
+  std::pmr::unsynchronized_pool_resource pool_;
+  std::pmr::unordered_map<Value, BucketInfo> map_{&pool_};
 };
 
 }  // namespace wavekit

@@ -1,7 +1,8 @@
 #include "index/index_builder.h"
 
-#include <map>
-#include <set>
+#include <algorithm>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "index/codec.h"
@@ -10,77 +11,6 @@
 #include "util/macros.h"
 
 namespace wavekit {
-
-namespace {
-
-using GroupMap = std::map<Value, std::vector<Entry>>;
-
-// Pass 1: entries grouped per value in sorted value order (the on-device
-// layout order), each bucket's entries in batch order, then record order.
-// In parallel, each chunk of batches is grouped into its own sorted map in
-// `*groups` and each value-range partition then merges its buckets across
-// the maps; chunk order is batch order, so the buckets equal the serial
-// ones. The caller keeps `*groups` until the buckets are installed: freed
-// first, the maps' nodes would be reused by the directory's nodes in map
-// order, and every later scan of the index walks the directory in layout
-// order (a packed-shadow update measured ~10% slower that way).
-Result<PackedBuckets> GroupBatches(std::span<const DayBatch* const> batches,
-                                   const ParallelContext& parallel,
-                                   std::vector<GroupMap>* groups) {
-  std::vector<GroupMap>& local = *groups;
-  local.resize(parallel.Partitions(batches.size()));
-  WAVEKIT_RETURN_NOT_OK(ForEachSlice(
-      parallel, batches.size(),
-      [&](size_t p, size_t begin, size_t end) -> Status {
-        if (parallel.enabled()) {
-          WAVEKIT_RETURN_NOT_OK(CrashPoints::Check("builder.parallel.group"));
-        }
-        auto& mine = local[p];
-        for (size_t b = begin; b < end; ++b) {
-          const DayBatch* batch = batches[b];
-          for (const Record& record : batch->records) {
-            for (size_t i = 0; i < record.values.size(); ++i) {
-              mine[record.values[i]].push_back(
-                  Entry{record.record_id, batch->day, record.AuxFor(i)});
-            }
-          }
-        }
-        return Status::OK();
-      }));
-
-  PackedBuckets buckets;
-  if (local.size() == 1) {
-    buckets.reserve(local[0].size());
-    for (auto& [value, entries] : local[0]) {
-      buckets.emplace_back(value, std::move(entries));
-    }
-    return buckets;
-  }
-  std::set<Value> distinct;
-  for (const auto& m : local) {
-    for (const auto& [value, entries] : m) distinct.insert(value);
-  }
-  buckets.reserve(distinct.size());
-  for (const Value& value : distinct) {
-    buckets.emplace_back(value, std::vector<Entry>{});
-  }
-  WAVEKIT_RETURN_NOT_OK(ForEachSlice(
-      parallel, buckets.size(), [&](size_t, size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) {
-          auto& [value, entries] = buckets[i];
-          for (const auto& m : local) {
-            auto it = m.find(value);
-            if (it == m.end()) continue;
-            entries.insert(entries.end(), it->second.begin(),
-                           it->second.end());
-          }
-        }
-        return Status::OK();
-      }));
-  return buckets;
-}
-
-}  // namespace
 
 Status IndexBuilder::WritePacked(ConstituentIndex* index,
                                  const PackedBuckets& buckets,
@@ -179,20 +109,86 @@ Status IndexBuilder::WritePacked(ConstituentIndex* index,
 Result<std::unique_ptr<ConstituentIndex>> IndexBuilder::BuildPacked(
     Device* device, ExtentAllocator* allocator,
     ConstituentIndex::Options options,
-    std::span<const DayBatch* const> batches, std::string name,
+    std::span<const GroupedDay* const> days, std::string name,
     const ParallelContext& parallel) {
+  // Step 1: a k-way merge of the days' sorted value lists. Bucket u holds
+  // values[u] with sizes[u] entries; day d's value v goes to bucket
+  // bucket_of[d][v], which ascends in v.
+  std::vector<std::string_view> values;
+  std::vector<size_t> sizes;
+  std::vector<std::vector<size_t>> bucket_of(days.size());
+  std::vector<size_t> next(days.size(), 0);
+  for (size_t d = 0; d < days.size(); ++d) {
+    bucket_of[d].resize(days[d]->value_count());
+  }
+  auto at_head = [&](size_t d) -> std::optional<std::string_view> {
+    if (next[d] == days[d]->value_count()) return std::nullopt;
+    return days[d]->value(next[d]);
+  };
+  for (;;) {
+    std::optional<std::string_view> least;
+    for (size_t d = 0; d < days.size(); ++d) {
+      const std::optional<std::string_view> head = at_head(d);
+      if (head && (!least || *head < *least)) least = head;
+    }
+    if (!least) break;
+    size_t size = 0;
+    for (size_t d = 0; d < days.size(); ++d) {
+      if (at_head(d) != least) continue;
+      bucket_of[d][next[d]] = values.size();
+      size += days[d]->run(next[d]).size();
+      ++next[d];
+    }
+    values.push_back(*least);
+    sizes.push_back(size);
+  }
+
+  // Step 2: each bucket is its value's runs, concatenated in day order.
+  PackedBuckets buckets(values.size());
+  WAVEKIT_RETURN_NOT_OK(ForEachSlice(
+      parallel, buckets.size(),
+      [&](size_t, size_t begin, size_t end) -> Status {
+        if (parallel.enabled()) {
+          WAVEKIT_RETURN_NOT_OK(CrashPoints::Check("builder.parallel.group"));
+        }
+        for (size_t u = begin; u < end; ++u) {
+          buckets[u].first = values[u];
+          buckets[u].second.reserve(sizes[u]);
+        }
+        for (size_t d = 0; d < days.size(); ++d) {
+          const GroupedDay& day = *days[d];
+          const std::vector<size_t>& to = bucket_of[d];
+          for (auto v = std::lower_bound(to.begin(), to.end(), begin);
+               v != to.end() && *v < end; ++v) {
+            std::vector<Entry>& bucket = buckets[*v].second;
+            for (const GroupedDay::Posting& posting :
+                 day.run(static_cast<size_t>(v - to.begin()))) {
+              bucket.push_back(day.EntryOf(posting));
+            }
+          }
+        }
+        return Status::OK();
+      }));
+
   auto index = std::make_unique<ConstituentIndex>(device, allocator, options,
                                                   std::move(name));
-  std::vector<GroupMap> groups;
-  WAVEKIT_ASSIGN_OR_RETURN(PackedBuckets buckets,
-                           GroupBatches(batches, parallel, &groups));
   WAVEKIT_RETURN_NOT_OK(WritePacked(index.get(), buckets, parallel,
                                     "builder.parallel.write"));
-  for (const DayBatch* batch : batches) {
-    index->mutable_time_set().insert(batch->day);
+  for (const GroupedDay* day : days) {
+    index->mutable_time_set().insert(day->day());
   }
   index->set_packed(true);
   return index;
+}
+
+Result<std::unique_ptr<ConstituentIndex>> IndexBuilder::BuildPacked(
+    Device* device, ExtentAllocator* allocator,
+    ConstituentIndex::Options options,
+    std::span<const DayBatch* const> batches, std::string name,
+    const ParallelContext& parallel) {
+  return BuildPacked(device, allocator, options,
+                     GroupedBatches(batches).days(), std::move(name),
+                     parallel);
 }
 
 Result<std::unique_ptr<ConstituentIndex>> IndexBuilder::BuildPacked(

@@ -4,7 +4,9 @@
 // "We assume here that a packed index is achieved by scanning the Days
 // records and counting the number of entries needed in each bucket. Then
 // contiguous buckets of the appropriate size are allocated on disk."
-// (Section 2.2.) The builder performs exactly that two-pass construction.
+// (Section 2.2.) The counting pass runs once per day, at ingest: a
+// GroupedDay (index/grouped_day.h) holds each day's entries counted and
+// grouped by value. A build merges its days' groups into the buckets.
 // Packed shadowing's scan-copy (Section 2.1) ends the same way, so both go
 // through WritePacked: encode each bucket, size one contiguous region, write
 // the buckets back to back, install them. A raw index is the same path at
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "index/constituent_index.h"
+#include "index/grouped_day.h"
 #include "util/thread_pool.h"
 
 namespace wavekit {
@@ -29,26 +32,33 @@ namespace wavekit {
 /// entries (at least one) in bucket order.
 using PackedBuckets = std::vector<std::pair<Value, std::vector<Entry>>>;
 
-/// \brief Builds packed constituent indexes from day batches.
+/// \brief Builds packed constituent indexes from grouped days.
 class IndexBuilder {
  public:
-  /// Builds a packed index over `batches`. Pass 1 groups entries per value
-  /// (in memory); pass 2 is WritePacked over the buckets in sorted value
-  /// order. The result's time-set is the set of batch days; its packed
-  /// invariant holds.
+  /// Builds a packed index over `days`. Step 1 merges the days' sorted value
+  /// lists into their union, the buckets in layout order; step 2 fills each
+  /// bucket by concatenating the days' runs of its value in `days` order,
+  /// then WritePacked writes them. The result's time-set is the set of the
+  /// days; its packed invariant holds.
   ///
-  /// With `parallel.enabled()`, chunks of day batches are grouped
-  /// concurrently and each value-range partition merges its buckets on the
-  /// pool before WritePacked runs its parallel schedule. The resulting index
-  /// is identical (same layout order, same bucket bytes at the same offsets)
+  /// With `parallel.enabled()`, each value-range slice of the union fills
+  /// its buckets on the pool (crash point "builder.parallel.group") before
+  /// WritePacked runs its parallel schedule. The resulting index is
+  /// identical (same layout order, same bucket bytes at the same offsets)
   /// to the serial build; only the I/O schedule differs.
+  static Result<std::unique_ptr<ConstituentIndex>> BuildPacked(
+      Device* device, ExtentAllocator* allocator,
+      ConstituentIndex::Options options,
+      std::span<const GroupedDay* const> days, std::string name,
+      const ParallelContext& parallel = {});
+
+  /// Adapters for callers that hold DayBatches: each batch goes through
+  /// GroupedDay::From, then the build above.
   static Result<std::unique_ptr<ConstituentIndex>> BuildPacked(
       Device* device, ExtentAllocator* allocator,
       ConstituentIndex::Options options,
       std::span<const DayBatch* const> batches, std::string name,
       const ParallelContext& parallel = {});
-
-  /// Convenience overload for a single day.
   static Result<std::unique_ptr<ConstituentIndex>> BuildPacked(
       Device* device, ExtentAllocator* allocator,
       ConstituentIndex::Options options, const DayBatch& batch,

@@ -5,12 +5,12 @@
 namespace wavekit {
 
 Status InPlaceUpdater::Apply(std::shared_ptr<ConstituentIndex>* index,
-                             std::span<const DayBatch* const> adds,
+                             std::span<const GroupedDay* const> adds,
                              const TimeSet& deletes) {
   ConstituentIndex* idx = index->get();
   WAVEKIT_RETURN_NOT_OK(idx->DeleteDays(deletes));
-  for (const DayBatch* batch : adds) {
-    WAVEKIT_RETURN_NOT_OK(idx->AddBatch(*batch));
+  for (const GroupedDay* day : adds) {
+    WAVEKIT_RETURN_NOT_OK(idx->AddBatch(*day));
   }
   return Status::OK();
 }

@@ -11,7 +11,7 @@
 namespace wavekit {
 
 Status PackedShadowUpdater::Apply(std::shared_ptr<ConstituentIndex>* index,
-                                  std::span<const DayBatch* const> adds,
+                                  std::span<const GroupedDay* const> adds,
                                   const TimeSet& deletes) {
   ConstituentIndex* old_index = index->get();
   Device* device = old_index->device();
@@ -79,7 +79,7 @@ Status PackedShadowUpdater::Apply(std::shared_ptr<ConstituentIndex>* index,
   // Step 4: update the time-set and swap the new version in.
   TimeSet time_set = old_index->time_set();
   for (Day d : deletes) time_set.erase(d);
-  for (const DayBatch* batch : adds) time_set.insert(batch->day);
+  for (const GroupedDay* day : adds) time_set.insert(day->day());
   packed->mutable_time_set() = time_set;
   packed->set_packed(true);
   if (temp != nullptr) WAVEKIT_RETURN_NOT_OK(temp->Destroy());

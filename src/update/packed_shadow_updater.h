@@ -25,7 +25,7 @@ class PackedShadowUpdater : public Updater {
     return UpdateTechniqueKind::kPackedShadow;
   }
   Status Apply(std::shared_ptr<ConstituentIndex>* index,
-               std::span<const DayBatch* const> adds,
+               std::span<const GroupedDay* const> adds,
                const TimeSet& deletes) override;
 };
 

@@ -5,7 +5,7 @@
 namespace wavekit {
 
 Status SimpleShadowUpdater::Apply(std::shared_ptr<ConstituentIndex>* index,
-                                  std::span<const DayBatch* const> adds,
+                                  std::span<const GroupedDay* const> adds,
                                   const TimeSet& deletes) {
   ConstituentIndex* old_index = index->get();
   // The CP clone is the bulk of the work; it parallelizes across buckets
@@ -14,8 +14,8 @@ Status SimpleShadowUpdater::Apply(std::shared_ptr<ConstituentIndex>* index,
   WAVEKIT_ASSIGN_OR_RETURN(std::shared_ptr<ConstituentIndex> shadow,
                            old_index->Clone(old_index->name(), parallel_));
   WAVEKIT_RETURN_NOT_OK(shadow->DeleteDays(deletes));
-  for (const DayBatch* batch : adds) {
-    WAVEKIT_RETURN_NOT_OK(shadow->AddBatch(*batch));
+  for (const GroupedDay* day : adds) {
+    WAVEKIT_RETURN_NOT_OK(shadow->AddBatch(*day));
   }
   // Swap: the old version lives on until the last query reference drops.
   *index = std::move(shadow);

@@ -17,7 +17,7 @@ class SimpleShadowUpdater : public Updater {
     return UpdateTechniqueKind::kSimpleShadow;
   }
   Status Apply(std::shared_ptr<ConstituentIndex>* index,
-               std::span<const DayBatch* const> adds,
+               std::span<const GroupedDay* const> adds,
                const TimeSet& deletes) override;
 };
 

@@ -16,6 +16,7 @@
 #include <span>
 
 #include "index/constituent_index.h"
+#include "index/grouped_day.h"
 #include "index/record.h"
 #include "util/day.h"
 #include "util/status.h"
@@ -42,11 +43,18 @@ class Updater {
 
   virtual UpdateTechniqueKind kind() const = 0;
 
-  /// Applies one combined update: insert all records of `adds` and delete all
-  /// entries whose day is in `deletes`. Either side may be empty.
+  /// Applies one combined update: insert all entries of `adds` and delete
+  /// all entries whose day is in `deletes`. Either side may be empty.
   virtual Status Apply(std::shared_ptr<ConstituentIndex>* index,
-                       std::span<const DayBatch* const> adds,
+                       std::span<const GroupedDay* const> adds,
                        const TimeSet& deletes) = 0;
+
+  /// Adapter for callers that hold DayBatches: each batch goes through
+  /// GroupedDay::From, then the Apply above.
+  Status Apply(std::shared_ptr<ConstituentIndex>* index,
+               std::span<const DayBatch* const> adds, const TimeSet& deletes) {
+    return Apply(index, GroupedBatches(adds).days(), deletes);
+  }
 
   /// AddToIndex (Section 2.2) via this technique.
   Status AddDays(std::shared_ptr<ConstituentIndex>* index,
@@ -57,7 +65,7 @@ class Updater {
   /// DeleteFromIndex (Section 2.2) via this technique.
   Status DeleteDays(std::shared_ptr<ConstituentIndex>* index,
                     const TimeSet& deletes) {
-    return Apply(index, {}, deletes);
+    return Apply(index, std::span<const GroupedDay* const>(), deletes);
   }
 
   /// Parallelism the shadow stages (temporary build, CP clone, scan-copy

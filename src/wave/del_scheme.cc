@@ -18,8 +18,8 @@ Status DelScheme::DoStart() {
   return Status::OK();
 }
 
-Status DelScheme::DoTransition(const DayBatch& new_day) {
-  const Day expired = new_day.day - config_.window;
+Status DelScheme::DoTransition(Day new_day) {
+  const Day expired = new_day - config_.window;
   WAVEKIT_ASSIGN_OR_RETURN(size_t j, FindSlotContaining(expired));
   switch (config_.technique) {
     case UpdateTechniqueKind::kInPlace: {
@@ -29,7 +29,7 @@ Status DelScheme::DoTransition(const DayBatch& new_day) {
       WAVEKIT_RETURN_NOT_OK(
           DeleteFromIndex({expired}, &slots_[j], Phase::kPrecompute));
       WAVEKIT_RETURN_NOT_OK(
-          AddToIndex({new_day.day}, &slots_[j], Phase::kTransition));
+          AddToIndex({new_day}, &slots_[j], Phase::kTransition));
       break;
     }
     case UpdateTechniqueKind::kSimpleShadow: {
@@ -46,7 +46,7 @@ Status DelScheme::DoTransition(const DayBatch& new_day) {
             DeleteFromIndex({expired}, &shadow, Phase::kPrecompute));
       }
       WAVEKIT_RETURN_NOT_OK(
-          AddToIndex({new_day.day}, &shadow, Phase::kTransition));
+          AddToIndex({new_day}, &shadow, Phase::kTransition));
       WAVEKIT_RETURN_NOT_OK(ReplaceSlot(j, std::move(shadow)));
       break;
     }
@@ -54,7 +54,7 @@ Status DelScheme::DoTransition(const DayBatch& new_day) {
       // The smart copy merges the insert and drops the expired entries in a
       // single pass; it needs the new data, so everything is transition.
       obs::Span span = TraceOp("DEL.packed_shadow");
-      WAVEKIT_RETURN_NOT_OK(UpdateIndex({new_day.day}, {expired}, &slots_[j],
+      WAVEKIT_RETURN_NOT_OK(UpdateIndex({new_day}, {expired}, &slots_[j],
                                         Phase::kTransition));
       break;
     }

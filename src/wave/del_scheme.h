@@ -27,7 +27,7 @@ class DelScheme : public Scheme {
 
  protected:
   Status DoStart() override;
-  Status DoTransition(const DayBatch& new_day) override;
+  Status DoTransition(Day new_day) override;
 };
 
 }  // namespace wavekit

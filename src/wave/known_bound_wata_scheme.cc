@@ -42,7 +42,7 @@ Status KnownBoundWataScheme::DoStart() {
     return Status::OK();
   };
   for (Day d = 1; d <= config_.window; ++d) {
-    WAVEKIT_ASSIGN_OR_RETURN(const DayBatch* batch, env_.day_store->Get(d));
+    WAVEKIT_ASSIGN_OR_RETURN(const GroupedDay* batch, env_.day_store->Get(d));
     // Close a slice only once it has REACHED the threshold (allowing slight
     // overshoot): under-full slices would mean more than n-1 slices per
     // window, breaking the n/(n-1) bound.
@@ -84,7 +84,7 @@ Status KnownBoundWataScheme::DoAdopt() {
   return Status::OK();
 }
 
-Status KnownBoundWataScheme::DoTransition(const DayBatch& new_day) {
+Status KnownBoundWataScheme::DoTransition(Day new_day) {
   WAVEKIT_RETURN_NOT_OK(DropFullyExpired());
   const uint64_t slice = SliceBound();
   std::shared_ptr<ConstituentIndex>* fill =
@@ -99,7 +99,7 @@ Status KnownBoundWataScheme::DoTransition(const DayBatch& new_day) {
     obs::Span span = TraceOp("KB-WATA.new_slice");
     WAVEKIT_ASSIGN_OR_RETURN(
         std::shared_ptr<ConstituentIndex> fresh,
-        BuildIndex({new_day.day}, "I" + std::to_string(++next_name_),
+        BuildIndex({new_day}, "I" + std::to_string(++next_name_),
                    Phase::kTransition));
     slots_.push_back(fresh);
     wave_.AddIndex(std::move(fresh));
@@ -113,7 +113,7 @@ Status KnownBoundWataScheme::DoTransition(const DayBatch& new_day) {
                            << " constituents in use; appending past the slice";
     }
     WAVEKIT_RETURN_NOT_OK(
-        AddToIndex({new_day.day}, fill, Phase::kTransition));
+        AddToIndex({new_day}, fill, Phase::kTransition));
   }
   return Status::OK();
 }

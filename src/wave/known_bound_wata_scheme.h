@@ -38,7 +38,7 @@ class KnownBoundWataScheme : public Scheme {
 
  protected:
   Status DoStart() override;
-  Status DoTransition(const DayBatch& new_day) override;
+  Status DoTransition(Day new_day) override;
   Status DoAdopt() override;
 
  private:

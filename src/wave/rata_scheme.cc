@@ -71,8 +71,8 @@ Status RataScheme::DoAdopt() {
   return InitializeLadder(init_days, Phase::kPrecompute);
 }
 
-Status RataScheme::DoTransition(const DayBatch& new_day) {
-  const Day expired = new_day.day - config_.window;
+Status RataScheme::DoTransition(Day new_day) {
+  const Day expired = new_day - config_.window;
   WAVEKIT_ASSIGN_OR_RETURN(size_t j, FindSlotContaining(expired));
   int days_in_others = 0;
   for (size_t i = 0; i < slots_.size(); ++i) {
@@ -85,7 +85,7 @@ Status RataScheme::DoTransition(const DayBatch& new_day) {
     WAVEKIT_RETURN_NOT_OK(DropIndex(slots_[j]));
     WAVEKIT_ASSIGN_OR_RETURN(
         std::shared_ptr<ConstituentIndex> fresh,
-        BuildIndex({new_day.day}, "I" + std::to_string(j + 1),
+        BuildIndex({new_day}, "I" + std::to_string(j + 1),
                    Phase::kTransition, static_cast<int>(j)));
     slots_[j] = fresh;
     wave_.AddIndex(std::move(fresh));
@@ -100,7 +100,7 @@ Status RataScheme::DoTransition(const DayBatch& new_day) {
     // suffix that excludes today's expired day.
     obs::Span span = TraceOp("RATA.promote_rung");
     WAVEKIT_RETURN_NOT_OK(
-        AddToIndex({new_day.day}, &slots_[last_], Phase::kTransition));
+        AddToIndex({new_day}, &slots_[last_], Phase::kTransition));
     if (temp_used_ <= 0) {
       return Status::Internal(
           "RATA ladder exhausted before the cluster fully expired");

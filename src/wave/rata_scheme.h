@@ -29,7 +29,7 @@ class RataScheme : public Scheme {
 
  protected:
   Status DoStart() override;
-  Status DoTransition(const DayBatch& new_day) override;
+  Status DoTransition(Day new_day) override;
   Status DoAdopt() override;
 
  private:

@@ -14,11 +14,11 @@ Status ReindexPlusPlusScheme::BuildRungsParallel(std::vector<RungSpec> specs,
   // Plan serially: DayStore lookups and entry counts happen on the
   // coordinator, so the pool tasks touch only thread-safe layers (device,
   // allocator, their own fresh index).
-  std::vector<std::vector<const DayBatch*>> batches(rungs);
+  std::vector<std::vector<const GroupedDay*>> batches(rungs);
   std::vector<uint64_t> entries(rungs, 0);
   for (size_t i = 0; i < rungs; ++i) {
     WAVEKIT_ASSIGN_OR_RETURN(batches[i], GetBatches(specs[i].days));
-    for (const DayBatch* batch : batches[i]) entries[i] += batch->EntryCount();
+    for (const GroupedDay* day : batches[i]) entries[i] += day->EntryCount();
   }
   MultiPhaseScope scope(AllDevices(), phase);
   std::vector<std::shared_ptr<ConstituentIndex>> built(rungs);
@@ -136,8 +136,8 @@ Status ReindexPlusPlusScheme::DoStart() {
   return InitializeLadder(init_days, Phase::kStart);
 }
 
-Status ReindexPlusPlusScheme::DoTransition(const DayBatch& new_day) {
-  const Day expired = new_day.day - config_.window;
+Status ReindexPlusPlusScheme::DoTransition(Day new_day) {
+  const Day expired = new_day - config_.window;
   WAVEKIT_ASSIGN_OR_RETURN(size_t j, FindSlotContaining(expired));
 
   if (temp_used_ == 0) {
@@ -145,7 +145,7 @@ Status ReindexPlusPlusScheme::DoTransition(const DayBatch& new_day) {
     // new day and becomes I_j; then precompute the next cluster's ladder.
     obs::Span span = TraceOp("REINDEX++.finish_rotation");
     WAVEKIT_RETURN_NOT_OK(
-        AddToIndex({new_day.day}, &temps_[0], Phase::kTransition));
+        AddToIndex({new_day}, &temps_[0], Phase::kTransition));
     std::shared_ptr<ConstituentIndex> promoted = std::move(temps_[0]);
     temps_[0] = nullptr;
     WAVEKIT_RETURN_NOT_OK(PromoteTemp(j, std::move(promoted)));
@@ -158,9 +158,9 @@ Status ReindexPlusPlusScheme::DoTransition(const DayBatch& new_day) {
     // Mid-rotation: the highest unused rung + the new day becomes I_j; the
     // next rung is topped up with all accumulated new days for later.
     obs::Span span = TraceOp("REINDEX++.mid_rotation");
-    days_to_add_.insert(new_day.day);
+    days_to_add_.insert(new_day);
     WAVEKIT_RETURN_NOT_OK(AddToIndex(
-        {new_day.day}, &temps_[static_cast<size_t>(temp_used_)],
+        {new_day}, &temps_[static_cast<size_t>(temp_used_)],
         Phase::kTransition));
     std::shared_ptr<ConstituentIndex> promoted =
         std::move(temps_[static_cast<size_t>(temp_used_)]);

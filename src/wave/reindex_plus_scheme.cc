@@ -34,8 +34,8 @@ Status ReindexPlusScheme::PromoteCopyOfTemp(size_t j,
   return ReplaceSlot(j, std::move(replacement));
 }
 
-Status ReindexPlusScheme::DoTransition(const DayBatch& new_day) {
-  const Day expired = new_day.day - config_.window;
+Status ReindexPlusScheme::DoTransition(Day new_day) {
+  const Day expired = new_day - config_.window;
   WAVEKIT_ASSIGN_OR_RETURN(size_t j, FindSlotContaining(expired));
 
   if (temp_ == nullptr) {
@@ -45,7 +45,7 @@ Status ReindexPlusScheme::DoTransition(const DayBatch& new_day) {
       obs::Span span = TraceOp("REINDEX+.rebuild_single_day");
       WAVEKIT_ASSIGN_OR_RETURN(
           std::shared_ptr<ConstituentIndex> rebuilt,
-          BuildIndex({new_day.day}, slots_[j]->name(), Phase::kTransition));
+          BuildIndex({new_day}, slots_[j]->name(), Phase::kTransition));
       WAVEKIT_RETURN_NOT_OK(ReplaceSlot(j, std::move(rebuilt)));
     } else {
       // First day of a cluster rotation: Temp, I_j <- BuildIndex(d_new);
@@ -54,14 +54,14 @@ Status ReindexPlusScheme::DoTransition(const DayBatch& new_day) {
       days_to_add_ = slots_[j]->time_set();
       days_to_add_.erase(expired);
       WAVEKIT_ASSIGN_OR_RETURN(
-          temp_, BuildIndex({new_day.day}, "Temp", Phase::kTransition));
+          temp_, BuildIndex({new_day}, "Temp", Phase::kTransition));
       WAVEKIT_RETURN_NOT_OK(PromoteCopyOfTemp(j, days_to_add_));
     }
   } else if (days_to_add_.empty()) {
     // Last day of the rotation: I_j <- Temp; AddToIndex(d_new, I_j);
     // Temp <- phi.
     obs::Span span = TraceOp("REINDEX+.finish_rotation");
-    WAVEKIT_RETURN_NOT_OK(PromoteCopyOfTemp(j, {new_day.day}));
+    WAVEKIT_RETURN_NOT_OK(PromoteCopyOfTemp(j, {new_day}));
     WAVEKIT_RETURN_NOT_OK(DropIndex(temp_));
     temp_.reset();
   } else {
@@ -69,7 +69,7 @@ Status ReindexPlusScheme::DoTransition(const DayBatch& new_day) {
     // AddToIndex(DaysToAdd, I_j).
     obs::Span span = TraceOp("REINDEX+.mid_rotation");
     WAVEKIT_RETURN_NOT_OK(
-        AddToIndex({new_day.day}, &temp_, Phase::kTransition));
+        AddToIndex({new_day}, &temp_, Phase::kTransition));
     WAVEKIT_RETURN_NOT_OK(PromoteCopyOfTemp(j, days_to_add_));
   }
 

@@ -25,7 +25,7 @@ class ReindexPlusScheme : public Scheme {
 
  protected:
   Status DoStart() override;
-  Status DoTransition(const DayBatch& new_day) override;
+  Status DoTransition(Day new_day) override;
   Status DoAdopt() override;
 
  private:

@@ -18,14 +18,14 @@ Status ReindexScheme::DoStart() {
   return Status::OK();
 }
 
-Status ReindexScheme::DoTransition(const DayBatch& new_day) {
-  const Day expired = new_day.day - config_.window;
+Status ReindexScheme::DoTransition(Day new_day) {
+  const Day expired = new_day - config_.window;
   WAVEKIT_ASSIGN_OR_RETURN(size_t j, FindSlotContaining(expired));
   // Days[j] <- Days[j] - {expired} + {new}; rebuild the cluster from scratch.
   obs::Span span = TraceOp("REINDEX.rebuild_cluster");
   TimeSet days = slots_[j]->time_set();
   days.erase(expired);
-  days.insert(new_day.day);
+  days.insert(new_day);
   WAVEKIT_ASSIGN_OR_RETURN(
       std::shared_ptr<ConstituentIndex> rebuilt,
       BuildIndex(days, slots_[j]->name(), Phase::kTransition,

@@ -22,7 +22,7 @@ class ReindexScheme : public Scheme {
 
  protected:
   Status DoStart() override;
-  Status DoTransition(const DayBatch& new_day) override;
+  Status DoTransition(Day new_day) override;
 };
 
 }  // namespace wavekit

@@ -122,8 +122,7 @@ Status Scheme::Transition(DayBatch new_day) {
     // the expired one. The simulation harness must catch this.
     return Status::OK();
   }
-  WAVEKIT_ASSIGN_OR_RETURN(const DayBatch* batch, env_.day_store->Get(day));
-  const Status status = DoTransition(*batch);
+  const Status status = DoTransition(day);
   if (!status.ok()) {
     // The transition may have completed some primitives: slot state is
     // suspect until recovery, and current_day_ reverts to the last day that
@@ -340,12 +339,12 @@ obs::Span Scheme::TraceOp(std::string_view name) const {
   return env_.tracer != nullptr ? env_.tracer->StartSpan(name) : obs::Span();
 }
 
-Result<std::vector<const DayBatch*>> Scheme::GetBatches(
+Result<std::vector<const GroupedDay*>> Scheme::GetBatches(
     const TimeSet& days) const {
-  std::vector<const DayBatch*> batches;
+  std::vector<const GroupedDay*> batches;
   batches.reserve(days.size());
   for (Day day : days) {
-    WAVEKIT_ASSIGN_OR_RETURN(const DayBatch* batch, env_.day_store->Get(day));
+    WAVEKIT_ASSIGN_OR_RETURN(const GroupedDay* batch, env_.day_store->Get(day));
     batches.push_back(batch);
   }
   return batches;
@@ -354,10 +353,10 @@ Result<std::vector<const DayBatch*>> Scheme::GetBatches(
 Result<std::shared_ptr<ConstituentIndex>> Scheme::BuildIndex(
     const TimeSet& days, std::string name, Phase phase, int placement_hint) {
   obs::Span span = TraceOp("BuildIndex");
-  WAVEKIT_ASSIGN_OR_RETURN(std::vector<const DayBatch*> batches,
+  WAVEKIT_ASSIGN_OR_RETURN(std::vector<const GroupedDay*> batches,
                            GetBatches(days));
   uint64_t entries = 0;
-  for (const DayBatch* batch : batches) entries += batch->EntryCount();
+  for (const GroupedDay* batch : batches) entries += batch->EntryCount();
   const SchemeEnv::Disk disk = NextDisk(placement_hint);
   MultiPhaseScope scope(AllDevices(), phase);
   // A failed packed build frees everything it allocated, so the attempt is
@@ -396,10 +395,10 @@ Status Scheme::UpdateIndex(const TimeSet& add_days, const TimeSet& delete_days,
   obs::Span span = TraceOp(delete_days.empty()   ? "AddToIndex"
                            : add_days.empty()    ? "DeleteFromIndex"
                                                  : "UpdateIndex");
-  WAVEKIT_ASSIGN_OR_RETURN(std::vector<const DayBatch*> batches,
+  WAVEKIT_ASSIGN_OR_RETURN(std::vector<const GroupedDay*> batches,
                            GetBatches(add_days));
   uint64_t add_entries = 0;
-  for (const DayBatch* batch : batches) add_entries += batch->EntryCount();
+  for (const GroupedDay* batch : batches) add_entries += batch->EntryCount();
   uint64_t delete_entries = 0;
   for (Day day : delete_days) {
     // Expired batches may already be pruned from the store; count what we can.

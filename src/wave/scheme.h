@@ -275,7 +275,7 @@ class Scheme {
 
  protected:
   virtual Status DoStart() = 0;
-  virtual Status DoTransition(const DayBatch& new_day) = 0;
+  virtual Status DoTransition(Day new_day) = 0;
 
   /// Rebuilds scheme-specific auxiliary state after Adopt populated slots_
   /// and wave_. The default accepts any adopted wave whose slot count equals
@@ -340,8 +340,8 @@ class Scheme {
   /// to mark which transition branch ran (e.g. "WATA.throw_away").
   obs::Span TraceOp(std::string_view name) const;
 
-  /// Collects the DayBatch pointers for `days` from the day store.
-  Result<std::vector<const DayBatch*>> GetBatches(const TimeSet& days) const;
+  /// Collects the grouped days of `days` from the day store.
+  Result<std::vector<const GroupedDay*>> GetBatches(const TimeSet& days) const;
 
   /// Splits days 1..W into n clusters; the first W mod n clusters get
   /// ceil(W/n) days, the rest floor(W/n) (DEL/REINDEX Start, Appendix A).

@@ -42,8 +42,8 @@ Status WataScheme::DoAdopt() {
   return Status::OK();
 }
 
-Status WataScheme::DoTransition(const DayBatch& new_day) {
-  const Day expired = new_day.day - config_.window;
+Status WataScheme::DoTransition(Day new_day) {
+  const Day expired = new_day - config_.window;
   WAVEKIT_ASSIGN_OR_RETURN(size_t j, FindSlotContaining(expired));
   // If the other indexes together cover W-1 (all live) days, every day in
   // I_j has expired: throw it away. Otherwise wait.
@@ -57,7 +57,7 @@ Status WataScheme::DoTransition(const DayBatch& new_day) {
     WAVEKIT_RETURN_NOT_OK(DropIndex(slots_[j]));
     WAVEKIT_ASSIGN_OR_RETURN(
         std::shared_ptr<ConstituentIndex> fresh,
-        BuildIndex({new_day.day}, "I" + std::to_string(j + 1),
+        BuildIndex({new_day}, "I" + std::to_string(j + 1),
                    Phase::kTransition, static_cast<int>(j)));
     slots_[j] = fresh;
     wave_.AddIndex(std::move(fresh));
@@ -66,7 +66,7 @@ Status WataScheme::DoTransition(const DayBatch& new_day) {
     // Wait: append the new day to the last-modified index.
     obs::Span span = TraceOp("WATA.wait");
     WAVEKIT_RETURN_NOT_OK(
-        AddToIndex({new_day.day}, &slots_[last_], Phase::kTransition));
+        AddToIndex({new_day}, &slots_[last_], Phase::kTransition));
   }
   return Status::OK();
 }

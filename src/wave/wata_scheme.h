@@ -34,7 +34,7 @@ class WataScheme : public Scheme {
 
  protected:
   Status DoStart() override;
-  Status DoTransition(const DayBatch& new_day) override;
+  Status DoTransition(Day new_day) override;
   Status DoAdopt() override;
 
   /// The slot new days are appended to (protected so WATA variants with

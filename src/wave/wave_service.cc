@@ -310,6 +310,15 @@ void WaveService::RegisterMetrics() {
         },
         this);
   }
+  registry->AddGaugeCallback(
+      "wavekit_day_store_days",
+      "Days the day store retains for rebuilds and heals.", {},
+      [this] { return static_cast<double>(day_store_.size()); }, this);
+  registry->AddGaugeCallback(
+      "wavekit_day_store_bytes",
+      "Heap bytes of the day store's grouped columns (values, run offsets, "
+      "record ids, postings).",
+      {}, [this] { return static_cast<double>(day_store_.bytes()); }, this);
 }
 
 ConstituentIndex::CodecBreakdown WaveService::CodecTotals() const {

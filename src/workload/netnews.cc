@@ -1,7 +1,6 @@
 #include "workload/netnews.h"
 
 #include <algorithm>
-#include <cstdio>
 
 namespace wavekit {
 namespace workload {
@@ -12,10 +11,17 @@ NetnewsGenerator::NetnewsGenerator(NetnewsConfig config)
       zipf_(config.vocabulary_size, config.zipf_theta) {}
 
 Value NetnewsGenerator::WordForRank(uint64_t rank) const {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "w%08llu",
-                static_cast<unsigned long long>(rank));
-  return buf;
+  // "w%08llu", formatted by hand: this runs once per generated word.
+  char digits[20];
+  size_t n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + rank % 10);
+    rank /= 10;
+  } while (rank != 0);
+  Value word(1 + std::max<size_t>(n, 8), '0');
+  word[0] = 'w';
+  for (size_t i = 0; i < n; ++i) word[word.size() - 1 - i] = digits[i];
+  return word;
 }
 
 Value NetnewsGenerator::SampleWord(Rng& rng) const {

@@ -16,7 +16,9 @@
 //     succeeds or returns InvalidArgument — never crashes, never
 //     over-allocates on hostile count fields;
 //   - decoded requests round-trip: encode(decode(frame)) re-decodes to the
-//     same struct.
+//     same struct (for ADVANCE: every record id, value and aux);
+//   - a decoded ADVANCE batch groups (GroupedDay::From, what the day store
+//     keeps) exactly as a std::map keyed by value would.
 //
 // Build (Clang only):  cmake -B build-fuzz -S . -DWAVEKIT_FUZZ=ON \
 //                          -DCMAKE_CXX_COMPILER=clang++
@@ -30,9 +32,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "index/grouped_day.h"
 #include "serve/protocol.h"
 #include "util/status.h"
 
@@ -68,6 +73,53 @@ bool SameHeader(const serve::FrameHeader& a, const serve::FrameHeader& b) {
 void CheckDecoderContract(const Status& status) {
   if (!status.ok() && status.code() != StatusCode::kInvalidArgument) {
     Trap("decoder returned neither OK nor InvalidArgument");
+  }
+}
+
+/// Every record id, value and aux, not only the day and the record count.
+bool SameBatch(const wavekit::DayBatch& a, const wavekit::DayBatch& b) {
+  if (a.day != b.day || a.records.size() != b.records.size()) return false;
+  for (size_t r = 0; r < a.records.size(); ++r) {
+    const wavekit::Record& x = a.records[r];
+    const wavekit::Record& y = b.records[r];
+    if (x.record_id != y.record_id || x.values != y.values) return false;
+    for (size_t i = 0; i < x.values.size(); ++i) {
+      if (x.AuxFor(i) != y.AuxFor(i)) return false;
+    }
+  }
+  return true;
+}
+
+/// The wire is the untrusted route into the day store, so every decoded
+/// batch is grouped as DayStore::Put groups it and checked against a
+/// std::map grouping: the same values in the same order, and per value the
+/// same entries in record-then-position order.
+void CheckGrouping(const wavekit::DayBatch& batch) {
+  std::map<wavekit::Value, std::vector<wavekit::Entry>> reference;
+  for (const wavekit::Record& record : batch.records) {
+    for (size_t i = 0; i < record.values.size(); ++i) {
+      reference[record.values[i]].push_back(
+          wavekit::Entry{record.record_id, batch.day, record.AuxFor(i)});
+    }
+  }
+  const wavekit::GroupedDay day = wavekit::GroupedDay::From(batch);
+  if (day.day() != batch.day || day.record_count() != batch.records.size() ||
+      day.EntryCount() != batch.EntryCount() ||
+      day.value_count() != reference.size()) {
+    Trap("grouped ADVANCE batch differs from the reference in shape");
+  }
+  size_t v = 0;
+  for (const auto& [value, entries] : reference) {
+    const std::span<const wavekit::GroupedDay::Posting> run = day.run(v);
+    if (day.value(v) != value || run.size() != entries.size()) {
+      Trap("grouped ADVANCE batch has a wrong value or run");
+    }
+    for (size_t i = 0; i < run.size(); ++i) {
+      if (!(day.EntryOf(run[i]) == entries[i])) {
+        Trap("grouped ADVANCE batch has a wrong entry");
+      }
+    }
+    ++v;
   }
 }
 
@@ -117,10 +169,10 @@ void ExerciseDecoders(const serve::Frame& frame) {
       if (!serve::DecodeAdvanceRequest(
                encoded.substr(serve::kFrameHeaderBytes), &again)
                .ok() ||
-          again.batch.day != out.batch.day ||
-          again.batch.records.size() != out.batch.records.size()) {
+          !SameBatch(again.batch, out.batch)) {
         Trap("ADVANCE round-trip mismatch");
       }
+      CheckGrouping(out.batch);
     }
   }
   {

@@ -150,6 +150,31 @@ TEST_F(ConstituentIndexTest, TimedScanFilters) {
   }
 }
 
+TEST_F(ConstituentIndexTest, ScanFromAScanCallbackGetsItsOwnBuffers) {
+  // Scans reuse this thread's read and decode buffers; a scan started from
+  // another scan's callback must not read into the outer scan's.
+  auto outer_index = NewIndex("outer");
+  auto inner_index = NewIndex("inner");
+  for (Day d = 1; d <= 3; ++d) {
+    ASSERT_OK(outer_index->AddBatch(MakeMixedBatch(d)));
+    ASSERT_OK(inner_index->AddBatch(MakeMixedBatch(d + 10)));
+  }
+  auto scan_all = [](const ConstituentIndex& index) {
+    std::vector<Entry> out;
+    EXPECT_OK(index.Scan(
+        [&out](const Value&, const Entry& e) { out.push_back(e); }));
+    return out;
+  };
+  const std::vector<Entry> outer_expected = scan_all(*outer_index);
+  const std::vector<Entry> inner_expected = scan_all(*inner_index);
+  std::vector<Entry> outer;
+  ASSERT_OK(outer_index->Scan([&](const Value&, const Entry& e) {
+    outer.push_back(e);
+    EXPECT_EQ(scan_all(*inner_index), inner_expected);
+  }));
+  EXPECT_EQ(outer, outer_expected);
+}
+
 TEST_F(ConstituentIndexTest, DeleteDaysRemovesAndShrinks) {
   auto index = NewIndex();
   ReferenceIndex reference;

@@ -122,7 +122,8 @@ TEST_P(UpdaterTest, PackednessAfterUpdate) {
 TEST_P(UpdaterTest, EmptyUpdateIsNoOp) {
   BuildStartIndex();
   const uint64_t entries = index_->entry_count();
-  ASSERT_OK(updater_->Apply(&index_, {}, TimeSet{}));
+  ASSERT_OK(updater_->Apply(&index_, std::span<const GroupedDay* const>(),
+                            TimeSet{}));
   EXPECT_EQ(index_->entry_count(), entries);
 }
 

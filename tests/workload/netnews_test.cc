@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <map>
 
 namespace wavekit {
@@ -36,6 +38,18 @@ TEST(NetnewsTest, DeterministicPerDay) {
   // Days differ from each other.
   DayBatch other = a.GenerateDay(6);
   EXPECT_NE(da.records[0].values, other.records[0].values);
+}
+
+TEST(NetnewsTest, WordForRankMatchesSnprintf) {
+  NetnewsGenerator gen(NetnewsConfig{});
+  for (const uint64_t rank :
+       {uint64_t{0}, uint64_t{9}, uint64_t{10}, uint64_t{12345678},
+        uint64_t{99999999}, uint64_t{100000000}, UINT64_MAX}) {
+    char expected[32];
+    std::snprintf(expected, sizeof(expected), "w%08llu",
+                  static_cast<unsigned long long>(rank));
+    EXPECT_EQ(gen.WordForRank(rank), expected) << "rank " << rank;
+  }
 }
 
 TEST(NetnewsTest, RecordIdsAreUniqueAndIncreasing) {
